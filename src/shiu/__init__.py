@@ -36,7 +36,7 @@ from .search import (
     first_string,
     verify_string,
 )
-from .sieve import APIndex, SieveConfig, count_ap_primes, nth_ap_prime, primes_up_to
+from .sieve import APIndex, SieveConfig, count_ap_primes, primes_up_to
 from .tuples import (
     AdmissibilityReport,
     KTuple,
@@ -78,7 +78,6 @@ __all__ = [
     "is_admissible",
     "make_tuple",
     "measure_b",
-    "nth_ap_prime",
     "primes_up_to",
     "residue_coverage",
     "reverify",

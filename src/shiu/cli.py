@@ -21,7 +21,6 @@ from .construction import (
     ConstructionParams,
     as_ktuple,
     build,
-    construction_from_json,
     construction_to_json,
     reverify,
     scan_windows,
@@ -85,7 +84,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--cert", required=True, metavar="PATH")
 
     p = sub.add_parser("scan", parents=[common],
-                       help="exhaustively primality-test certificate windows")
+                       help="re-derive a certificate, then exhaustively "
+                            "primality-test its windows")
     p.add_argument("--cert", required=True, metavar="PATH")
     p.add_argument("--n-lo", type=int, required=True)
     p.add_argument("--n-hi", type=int, required=True)
@@ -186,7 +186,7 @@ def _cmd_verify(args) -> str:
 def _cmd_scan(args) -> str:
     if args.threads < 1:
         raise DomainError("threads must be >= 1")
-    c = construction_from_json(json.dumps(_read_cert(args.cert)))
+    c = reverify(_read_cert(args.cert), config=_sieve_config(args))
     reports = scan_windows(c, args.n_lo, args.n_hi, threads=args.threads)
     fmt = _pick(args, "json", ("json", "text"))
     if fmt == "json":

@@ -20,8 +20,14 @@ from math import gcd, prod
 
 from .errors import DomainError, InternalConsistencyError, ResourceError
 from .primality import classify_prime
-from .sieve import APIndex, SieveConfig, primes_up_to
-from .tuples import AdmissibilityReport, KTuple, LinearForm, is_admissible
+from .sieve import (
+    DEFAULT_SEGMENT_WIDTH,
+    APIndex,
+    SieveConfig,
+    least_prime_factors,
+    primes_up_to,
+)
+from .tuples import AdmissibilityReport, KTuple, LinearForm, _prime_factors_of, is_admissible
 
 DEFAULT_SHIFT_CAP = 10**6
 
@@ -133,19 +139,6 @@ def as_ktuple(c: Construction) -> KTuple:
     return KTuple(tuple(LinearForm(coeff, h) for h in c.offsets))
 
 
-def _prime_factors(n: int) -> set[int]:
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.add(n)
-    return out
-
-
 def verify_admissible(c: Construction) -> AdmissibilityReport:
     """Check admissibility by the specialized two-case argument, then
     cross-check against the general tuple checker.
@@ -156,7 +149,7 @@ def verify_admissible(c: Construction) -> AdmissibilityReport:
     0 is never hit. Disagreement between the two routes is a bug.
     """
     q, res, k = c.params.q, c.params.residue, c.params.k
-    coeff_primes = set(c.g_factors) | _prime_factors(q)
+    coeff_primes = set(c.g_factors) | _prime_factors_of(q)
     specialized_ok = True
     for p in sorted(coeff_primes):
         if any(off % p == 0 for off in c.offsets):
@@ -178,28 +171,37 @@ def verify_admissible(c: Construction) -> AdmissibilityReport:
 
 
 def verify_isolation(c: Construction) -> list[tuple[int, int]]:
-    """For every non-offset integer h in [first offset, last offset], find a
-    prime factor of h that divides the coefficient, so the form value at h is
-    composite in every window beyond the degenerate one.
+    """For every non-offset integer h in [first offset, last offset], find the
+    least g_factor dividing h, so the form value at h is composite in every
+    window beyond the degenerate one.
 
     Such a factor must exist: all prime factors of h lie below the last
     offset, and a value composed of offsets alone would be a single offset
     because the last offset is below the square of the first. Finding none is
     therefore a bug, not an input condition.
+
+    The least prime factor of h, read from one sieve over the interval, is
+    the answer whenever it is a g_factor and every g_factor exceeds 1; any
+    other h falls back to scanning g_factors in order.
     """
     chosen = set(c.offsets)
+    factors = set(c.g_factors) if c.g_factors and c.g_factors[0] > 1 else set()
     blocking: list[tuple[int, int]] = []
-    for h in range(c.offsets[0], c.offsets[-1] + 1):
-        if h in chosen:
-            continue
-        p = next((f for f in c.g_factors if h % f == 0), None)
-        if p is None:
-            raise InternalConsistencyError(
-                "interior value with no blocking factor",
-                context={"q": c.params.q, "a": c.params.residue,
-                         "k": c.params.k, "t": c.t, "h": h},
-            )
-        blocking.append((h, p))
+    stop = c.offsets[-1] + 1
+    for lo in range(c.offsets[0], stop, DEFAULT_SEGMENT_WIDTH):
+        hi = min(lo + DEFAULT_SEGMENT_WIDTH, stop)
+        for h, p in enumerate(least_prime_factors(lo, hi).tolist(), lo):
+            if h in chosen:
+                continue
+            if p not in factors or h % p:
+                p = next((f for f in c.g_factors if h % f == 0), None)
+                if p is None:
+                    raise InternalConsistencyError(
+                        "interior value with no blocking factor",
+                        context={"q": c.params.q, "a": c.params.residue,
+                                 "k": c.params.k, "t": c.t, "h": h},
+                    )
+            blocking.append((h, p))
     return blocking
 
 

@@ -44,7 +44,9 @@ def _env_budget_bytes() -> int | None:
 class SieveConfig:
     """Knobs for all sieving work.
 
-    segment_width: numbers sieved per chunk; results never depend on it.
+    segment_width: cap on the numbers sieved per segment; results never
+        depend on it. It is not a minimum: APIndex grows by doubling its
+        height and sieves only as far as that.
     height_ceiling: hard upper bound on any number examined.
     budget_bytes: memory cap per allocation (defaults to SHIU_SIEVE_BUDGET_MB).
     cache: optional preloaded segment store consulted before sieving.
@@ -108,8 +110,25 @@ def _segment_flags(lo: int, hi: int, base: list[int]) -> bytearray:
     return flags
 
 
-def iter_primes(lo: int, hi: int, config: SieveConfig | None = None) -> Iterator[int]:
-    """Yield the primes in [lo, hi) in increasing order."""
+def least_prime_factors(lo: int, hi: int) -> np.ndarray:
+    """Least prime factor of each integer in [lo, hi) as an int64 array, a
+    prime being its own. Requires lo >= 2; memory is 8 bytes per integer."""
+    if lo < 2:
+        raise DomainError("least prime factors need lo >= 2")
+    least = np.arange(lo, max(lo, hi), dtype=np.int64)
+    if hi <= lo:
+        return least
+    # larger primes first, so the smallest divisor is written last
+    for p in reversed(_base_primes(isqrt(hi - 1))):
+        start = max(p * p, -(-lo // p) * p)
+        least[start - lo::p] = p
+    return least
+
+
+def iter_prime_arrays(lo: int, hi: int, config: SieveConfig | None = None) -> Iterator[np.ndarray]:
+    """Yield the primes in [lo, hi) as ascending int64 arrays, one per
+    segment. Each array is freshly allocated, so callers may keep or
+    filter it without copying."""
     config = config or SieveConfig()
     if hi > config.height_ceiling + 1:
         raise ResourceError(
@@ -130,8 +149,16 @@ def iter_primes(lo: int, hi: int, config: SieveConfig | None = None) -> Iterator
             flags = config.cache.flags_for(seg_lo, seg_hi)
         if flags is None:
             flags = _segment_flags(seg_lo, seg_hi, base)
-        yield from compress(range(seg_lo, seg_hi), flags)
+        primes = np.flatnonzero(np.frombuffer(flags, dtype=np.uint8)).astype(np.int64, copy=False)
+        primes += seg_lo
+        yield primes
         seg_lo = seg_hi
+
+
+def iter_primes(lo: int, hi: int, config: SieveConfig | None = None) -> Iterator[int]:
+    """Yield the primes in [lo, hi) in increasing order, as Python ints."""
+    for primes in iter_prime_arrays(lo, hi, config):
+        yield from primes.tolist()
 
 
 def _prime_list_bytes(y: int) -> int:
@@ -151,7 +178,10 @@ def primes_up_to(y: int, config: SieveConfig | None = None) -> list[int]:
     if y > config.height_ceiling:
         raise ResourceError(f"height {y} exceeds the ceiling {config.height_ceiling}")
     config.check_allocation(_prime_list_bytes(y))
-    return list(iter_primes(2, y + 1, config))
+    out: list[int] = []
+    for primes in iter_prime_arrays(2, y + 1, config):
+        out.extend(primes.tolist())
+    return out
 
 
 def _pack_bits(flags: bytearray) -> bytes:
@@ -292,10 +322,13 @@ def load_segments(path: str, config: SieveConfig | None = None) -> SegmentCache:
 class APIndex:
     """The primes congruent to a modulo q, indexed from 1 in increasing order.
 
-    Extends itself by sieving further segments on demand and memoizes what it
-    has found. Consecutive entries differ by a positive multiple of q, so the
-    (k+1)-st entry always exceeds q*k. Mutation is not thread-safe; queries on
-    an index that is no longer extending are.
+    Extends itself by sieving further on demand and memoizes what it has
+    found. The first extension reaches 8*q, which already holds the first
+    few entries; each later one doubles the height, so the index never sieves
+    more than about twice the height its largest answer needs. Consecutive
+    entries differ by a positive multiple of q, so the (k+1)-st entry always
+    exceeds q*k. Mutation is not thread-safe; queries on an index that is no
+    longer extending are.
     """
 
     def __init__(self, q: int, a: int, config: SieveConfig | None = None):
@@ -327,9 +360,9 @@ class APIndex:
             raise ResourceError(
                 f"height {height - 1} exceeds the ceiling {self._config.height_ceiling}"
             )
-        for p in iter_primes(self._height, height, self._config):
-            if p % self.q == self.a:
-                self._primes.append(p)
+        q, a = self.q, self.a
+        for primes in iter_prime_arrays(self._height, height, self._config):
+            self._primes.extend(primes[primes % q == a].tolist())
         self._height = height
 
     def _extend(self) -> None:
@@ -339,7 +372,7 @@ class APIndex:
                 f"only {len(self._primes)} primes = {self.a} mod {self.q} "
                 f"below the ceiling {ceiling}"
             )
-        target = max(self._height * 2, self._height + self._config.segment_width)
+        target = max(self._height * 2, 8 * self.q)
         self.extend_to(min(target, ceiling + 1))
 
     def count_up_to(self, y: int) -> int:
@@ -355,11 +388,6 @@ class APIndex:
     def known(self) -> tuple[int, ...]:
         """Snapshot of the entries discovered so far."""
         return tuple(self._primes)
-
-
-def nth_ap_prime(idx: APIndex, n: int) -> int:
-    """The n-th smallest prime congruent to idx.a modulo idx.q."""
-    return idx.nth(n)
 
 
 def count_ap_primes(q: int, a: int, y: int, config: SieveConfig | None = None) -> int:

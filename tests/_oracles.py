@@ -93,3 +93,14 @@ def first_string_oracle(q: int, a: int, m: int, cap: int,
         else:
             run = []
     return None
+
+
+def blocking_oracle(offsets, g_factors) -> list[tuple[int, int]]:
+    """(h, least g_factor dividing h) for every non-offset h between the first
+    and last offset, by a linear scan of g_factors; None marks an h no factor
+    divides."""
+    return [
+        (h, next((f for f in g_factors if h % f == 0), None))
+        for h in range(offsets[0], offsets[-1] + 1)
+        if h not in offsets
+    ]

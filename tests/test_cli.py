@@ -156,6 +156,18 @@ class TestScan:
                         "--n-lo", "3", "--n-hi", "3", "--format", "text")
         assert out == "n=3 primes=3 offsets=[7,13,31]\n"
 
+    def test_cert_missing_a_factor_is_rejected(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        run(capsys, "construct", "--q", "3", "--a", "1", "--k", "5",
+            "--output", str(path))
+        data = json.loads(path.read_text())
+        data["g_factors"].remove(2)
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "scan", "--cert", str(path),
+                             "--n-lo", "1", "--n-hi", "20", "--format", "text")
+        assert code == 1 and out == ""
+        assert err.startswith("error: domain:")
+
 
 def test_bounds_csv_shape(capsys):
     code, out, _ = run(capsys, "bounds", "--q-min", "3", "--q-max", "4",

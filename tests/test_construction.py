@@ -24,7 +24,7 @@ from shiu.errors import DomainError, InternalConsistencyError, ResourceError
 from shiu.sieve import APIndex, SieveConfig
 from shiu.tuples import AdmissibilityReport
 
-from ._oracles import choose_t_oracle
+from ._oracles import blocking_oracle, choose_t_oracle
 
 # the worked example, every field pinned by independent derivation
 EX_OFFSETS = (7, 13, 19, 31, 37)
@@ -187,6 +187,48 @@ def test_verify_isolation_raises_on_uncovered_value(monkeypatch):
     with pytest.raises(InternalConsistencyError) as info:
         verify_isolation(crippled)
     assert info.value.context["h"] == 8
+
+
+@pytest.mark.parametrize("q,a,k", [
+    (3, 1, 5), (3, 2, 2), (4, 3, 7), (7, 3, 9), (10, 9, 12), (29, 1, 12), (30, 7, 8),
+])
+def test_verify_isolation_matches_linear_scan(q, a, k):
+    c = build(ConstructionParams(q=q, a=a, k=k))
+    assert verify_isolation(c) == blocking_oracle(c.offsets, c.g_factors)
+
+
+def test_verify_isolation_is_independent_of_chunk_width(monkeypatch):
+    c = build(ConstructionParams(q=29, a=1, k=12))
+    want = verify_isolation(c)
+    monkeypatch.setattr(construction, "DEFAULT_SEGMENT_WIDTH", 7)
+    assert verify_isolation(c) == want == blocking_oracle(c.offsets, c.g_factors)
+
+
+def test_verify_isolation_falls_back_past_a_missing_factor():
+    c = build(ConstructionParams(q=3, a=1, k=5))
+    no_two = Construction(params=c.params, t=c.t, offsets=c.offsets,
+                          g_factors=c.g_factors[1:], B=c.B)
+    with pytest.raises(InternalConsistencyError) as info:
+        verify_isolation(no_two)
+    assert info.value.context["h"] == 8
+    # with 4 in place of 2 the scan still covers 8, 10 and 12 (by 4, 5
+    # and 3) and first fails at 14 = 2 * 7
+    four_for_two = Construction(params=c.params, t=c.t, offsets=c.offsets,
+                                g_factors=(3, 4) + c.g_factors[2:], B=c.B)
+    with pytest.raises(InternalConsistencyError) as info:
+        verify_isolation(four_for_two)
+    assert info.value.context["h"] == 14
+
+
+def test_verify_isolation_keeps_unit_factor_semantics():
+    # 1 divides every h, so a linear scan returns it first; the sieve path
+    # must not override that
+    c = build(ConstructionParams(q=3, a=1, k=5))
+    with_one = Construction(params=c.params, t=c.t, offsets=c.offsets,
+                            g_factors=(1,) + c.g_factors, B=c.B)
+    pairs = verify_isolation(with_one)
+    assert pairs == blocking_oracle(c.offsets, with_one.g_factors)
+    assert {p for _, p in pairs} == {1}
 
 
 class TestScanWindows:

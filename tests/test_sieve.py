@@ -12,12 +12,12 @@ from shiu.sieve import (
     count_ap_primes,
     dump_segments,
     iter_primes,
+    least_prime_factors,
     load_segments,
-    nth_ap_prime,
     primes_up_to,
 )
 
-from ._oracles import ap_primes_oracle, trial_primes
+from ._oracles import ap_primes_oracle, is_prime_trial, trial_primes
 
 
 def test_primes_up_to_edge_cases():
@@ -132,7 +132,7 @@ class TestAPIndex:
         assert [idx.nth(i) for i in range(1, 5)] == [5, 13, 17, 29]
 
     def test_module_level_helpers(self):
-        assert nth_ap_prime(APIndex(3, 1), 4) == 31
+        assert APIndex(3, 1).nth(4) == 31
         assert count_ap_primes(3, 1, 20) == 3
         assert count_ap_primes(3, 1, 6) == 0
         assert count_ap_primes(4, 1, 10) == 1
@@ -169,6 +169,23 @@ class TestAPIndex:
         for n in (1, 2, 7, 25):
             assert idx.count_up_to(idx.nth(n)) == n
 
+    def test_first_extension_is_sized_to_the_query(self):
+        idx = APIndex(3, 1)
+        assert idx.nth(5) == 37
+        assert len(idx.known()) < 64
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(3, 1), (3, 2), (4, 3), (5, 2), (7, 5), (12, 7), (29, 1)]),
+           st.integers(min_value=1, max_value=40),
+           st.sampled_from([8, 64, 1 << 16]))
+    def test_answers_do_not_depend_on_segment_width(self, qa, n, width):
+        q, a = qa
+        idx = APIndex(q, a, SieveConfig(segment_width=width))
+        want = ap_primes_oracle(q, a, n)
+        assert idx.nth(n) == want[-1]
+        assert list(idx.known()[:n]) == want
+        assert idx.count_up_to(want[-1]) == n
+
     def test_ceiling_error(self):
         idx = APIndex(9973, 1, SieveConfig(height_ceiling=5000))
         with pytest.raises(ResourceError):
@@ -180,3 +197,11 @@ class TestAPIndex:
 def test_iter_primes_windows_agree_with_oracle(a, b):
     lo, hi = min(a, b), max(a, b)
     assert list(iter_primes(lo, hi)) == [p for p in trial_primes(hi - 1) if p >= lo]
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=2, max_value=3000), st.integers(min_value=0, max_value=300))
+def test_least_prime_factors_agree_with_trial_division(lo, width):
+    want = [next(d for d in range(2, n + 1) if n % d == 0 and is_prime_trial(d))
+            for n in range(lo, lo + width)]
+    assert least_prime_factors(lo, lo + width).tolist() == want
