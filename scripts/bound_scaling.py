@@ -4,7 +4,7 @@ Builds every construction in the grid, tabulates B, then regresses
 log B on log q and log k. Prints the table head, the fitted exponents,
 and the worst residuals so outliers are easy to spot.
 
-Usage: python3 scripts/bound_scaling.py [--q-max 40] [--k-max 14] [--threads 4]
+Usage: python3 scripts/bound_scaling.py [--q-max 40] [--k-max 14] [--L 5.0]
 """
 
 import argparse
@@ -19,7 +19,6 @@ def main() -> None:
     ap.add_argument("--q-max", type=int, default=40)
     ap.add_argument("--k-max", type=int, default=14)
     ap.add_argument("--L", type=float, default=5.0)
-    ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args()
 
     t0 = perf_counter()
@@ -27,7 +26,6 @@ def main() -> None:
         range(3, args.q_max + 1),
         range(2, args.k_max + 1),
         linnik=LinnikConfig(L=args.L),
-        threads=args.threads,
     )
     good = [r for r in rows if r.error is None]
     print(f"built {len(good)}/{len(rows)} grid cells in "

@@ -36,7 +36,7 @@ from .search import (
     first_string,
     verify_string,
 )
-from .sieve import APIndex, SieveConfig, count_ap_primes, primes_up_to
+from .sieve import APIndex, SieveConfig, primes_up_to
 from .tuples import (
     AdmissibilityReport,
     KTuple,
@@ -72,7 +72,6 @@ __all__ = [
     "bound_table",
     "build",
     "choose_t",
-    "count_ap_primes",
     "diameter_stats",
     "first_string",
     "is_admissible",

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import ceil, gcd, log
 from typing import NamedTuple
@@ -119,7 +118,6 @@ def bound_table(
     a: int | None = None,
     linnik: LinnikConfig | None = None,
     config: SieveConfig | None = None,
-    threads: int = 1,
 ) -> list[BoundRow]:
     """Sweep the grid in lexicographic (q, a, k) order. With a=None every
     residue coprime to each q is measured. One progression index is shared
@@ -140,18 +138,11 @@ def bound_table(
             if gcd(res, q) != 1:
                 raise DomainError("gcd(a,q) != 1")
             pairs.append((q, res))
-
-    def column(pair: tuple[int, int]) -> list[BoundRow]:
-        q, res = pair
+    rows = []
+    for q, res in pairs:
         idx = APIndex(q, res, config)
-        return [measure_b(q, res, k, idx=idx, linnik=linnik) for k in ks]
-
-    if threads <= 1:
-        columns = [column(p) for p in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            columns = list(pool.map(column, pairs))
-    return [row for col in columns for row in col]
+        rows.extend(measure_b(q, res, k, idx=idx, linnik=linnik) for k in ks)
+    return rows
 
 
 class ScalingFit(NamedTuple):

@@ -1,12 +1,11 @@
 """Command-line front end.
 
 One subcommand per library capability: construct and verify certificates,
-scan windows, tabulate the diameter bound over a grid, hunt strings of
-consecutive congruent primes, and dump a reusable sieve cache. Identical
-invocations produce byte-identical output; all diagnostics go to stderr as
-one machine-parsable line. Exit statuses: 0 success, 1 bad input or nothing
-found, 2 resource limits, 3 internal inconsistency (a bug, reported with a
-reproduction bundle).
+scan windows, tabulate the diameter bound over a grid, and hunt strings of
+consecutive congruent primes. Identical invocations produce byte-identical
+output; all diagnostics go to stderr as one machine-parsable line. Exit
+statuses: 0 success, 1 bad input or nothing found, 2 resource limits, 3
+internal inconsistency (a bug, reported with a reproduction bundle).
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from .search import (
     string_to_dict,
     strings_to_jsonl,
 )
-from .sieve import SieveConfig, dump_segments, load_segments
 from .tuples import format_tuple_text
 
 
@@ -64,8 +62,6 @@ def _build_parser() -> _Parser:
                         default=None, help="output format (subcommand default)")
     common.add_argument("--output", default=None, metavar="PATH",
                         help="write output to PATH instead of stdout")
-    common.add_argument("--sieve-cache", default=None, metavar="PATH",
-                        help="preload a sieve segment dump")
 
     sub = top.add_subparsers(dest="subcommand")
 
@@ -74,8 +70,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, default=None,
-                   help="target prime count, carried as metadata")
     p.add_argument("--with-g", action="store_true",
                    help="include the multiplied-out coefficient quotient")
 
@@ -89,7 +83,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--cert", required=True, metavar="PATH")
     p.add_argument("--n-lo", type=int, required=True)
     p.add_argument("--n-hi", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("bounds", parents=[common],
                        help="tabulate the diameter bound over a (q, k) grid")
@@ -101,7 +94,6 @@ def _build_parser() -> _Parser:
                    help="fix one residue (default: all coprime residues)")
     p.add_argument("--L", type=float, default=5.0,
                    help="exponent for the shift-window policy")
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("search", parents=[common],
                        help="scan for runs of consecutive congruent primes")
@@ -118,20 +110,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--reference-b", type=int, default=None,
                    help="also count diameters at or below this value")
 
-    p = sub.add_parser("sieve-cache", parents=[common],
-                       help="sieve up to a height and dump the segments")
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--path", required=True)
-    p.add_argument("--segment-width", type=int, default=None)
-
     return top
-
-
-def _sieve_config(args) -> SieveConfig:
-    cache_path = getattr(args, "sieve_cache", None)
-    if cache_path is None:
-        return SieveConfig()
-    return SieveConfig(cache=load_segments(cache_path))
 
 
 def _emit(args, text: str) -> None:
@@ -152,8 +131,7 @@ def _pick(args, default: str, allowed: tuple[str, ...]) -> str:
 
 
 def _cmd_construct(args) -> str:
-    params = ConstructionParams(q=args.q, a=args.a, k=args.k, m=args.m)
-    c = build(params, config=_sieve_config(args))
+    c = build(ConstructionParams(q=args.q, a=args.a, k=args.k))
     fmt = _pick(args, "json", ("json", "text"))
     if fmt == "json":
         return construction_to_json(c, include_g=args.with_g)
@@ -174,7 +152,7 @@ def _read_cert(path: str) -> dict:
 
 def _cmd_verify(args) -> str:
     data = _read_cert(args.cert)
-    c = reverify(data, config=_sieve_config(args))
+    c = reverify(data)
     fmt = _pick(args, "text", ("json", "text"))
     if fmt == "json":
         return construction_to_json(c, include_g="g_decimal" in data)
@@ -184,10 +162,8 @@ def _cmd_verify(args) -> str:
 
 
 def _cmd_scan(args) -> str:
-    if args.threads < 1:
-        raise DomainError("threads must be >= 1")
-    c = reverify(_read_cert(args.cert), config=_sieve_config(args))
-    reports = scan_windows(c, args.n_lo, args.n_hi, threads=args.threads)
+    c = reverify(_read_cert(args.cert))
+    reports = scan_windows(c, args.n_lo, args.n_hi)
     fmt = _pick(args, "json", ("json", "text"))
     if fmt == "json":
         return window_reports_to_jsonl(reports)
@@ -206,15 +182,11 @@ def _cmd_scan(args) -> str:
 
 
 def _cmd_bounds(args) -> str:
-    if args.threads < 1:
-        raise DomainError("threads must be >= 1")
     rows = bound_table(
         range(args.q_min, args.q_max + 1),
         range(args.k_min, args.k_max + 1),
         a=args.a,
         linnik=LinnikConfig(L=args.L),
-        config=_sieve_config(args),
-        threads=args.threads,
     )
     fmt = _pick(args, "csv", ("json", "csv", "text"))
     if fmt == "json":
@@ -223,9 +195,8 @@ def _cmd_bounds(args) -> str:
 
 
 def _cmd_search(args) -> str:
-    config = _sieve_config(args)
     if not args.emit_all:
-        s = first_string(args.q, args.a, args.m, cap=args.cap, config=config)
+        s = first_string(args.q, args.a, args.m, cap=args.cap)
         fmt = _pick(args, "json", ("json", "text"))
         if fmt == "json":
             return json.dumps(string_to_dict(s)) + "\n"
@@ -233,26 +204,13 @@ def _cmd_search(args) -> str:
         return (f"q={s.q} a={s.a} m={s.m} start_index={s.start_index} "
                 f"diameter={s.diameter} primes={primes}\n")
     stream = all_strings(args.q, args.a, args.m, cap=args.cap,
-                         maximal_only=args.maximal_only, config=config)
+                         maximal_only=args.maximal_only)
     fmt = _pick(args, "json", ("json", "csv"))
     if fmt == "json":
         return strings_to_jsonl(stream)
     stats = diameter_stats(stream, bucket_width=args.bucket_width,
                            reference_b=args.reference_b)
     return stats_to_csv(stats)
-
-
-def _cmd_sieve_cache(args) -> str:
-    kwargs = {}
-    if args.segment_width is not None:
-        kwargs["segment_width"] = args.segment_width
-    config = SieveConfig(**kwargs)
-    n = dump_segments(args.path, args.height, config)
-    fmt = _pick(args, "text", ("json", "text"))
-    if fmt == "json":
-        payload = {"path": args.path, "height": args.height, "segments": n}
-        return json.dumps(payload) + "\n"
-    return f"wrote {n} segments covering [2, {args.height}] to {args.path}\n"
 
 
 def _seed_doc() -> str:
@@ -312,7 +270,6 @@ _HANDLERS = {
     "scan": _cmd_scan,
     "bounds": _cmd_bounds,
     "search": _cmd_search,
-    "sieve-cache": _cmd_sieve_cache,
 }
 
 

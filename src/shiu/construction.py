@@ -14,7 +14,6 @@ B = l_{t+k} - l_{t+1}.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd, prod
 
@@ -34,12 +33,11 @@ DEFAULT_SHIFT_CAP = 10**6
 
 @dataclass(frozen=True)
 class ConstructionParams:
-    """Inputs (q, a, k); m is carried as metadata only and never consulted."""
+    """Inputs (q, a, k)."""
 
     q: int
     a: int
     k: int
-    m: int | None = None
 
     def __post_init__(self):
         if self.q < 3:
@@ -48,8 +46,6 @@ class ConstructionParams:
             raise DomainError("gcd(a,q) != 1")
         if self.k < 2:
             raise DomainError("k must be >= 2")
-        if self.m is not None and self.m < 2:
-            raise DomainError("m must be >= 2 when given")
 
     @property
     def residue(self) -> int:
@@ -255,13 +251,12 @@ def scan_windows(
     n_lo: int,
     n_hi: int,
     *,
-    threads: int = 1,
     max_value: int | None = None,
 ) -> list[WindowReport]:
     """Exhaustively test every integer in each window for n in [n_lo, n_hi].
 
     Reports, per n, which offsets carry primes and whether any prime occurs
-    off-offset. Results are merged in n order and do not depend on threads.
+    off-offset, in n order.
     """
     if n_lo < 0 or n_hi < n_lo:
         raise DomainError("need 0 <= n_lo <= n_hi")
@@ -269,22 +264,16 @@ def scan_windows(
     top = coeff * n_hi + c.offsets[-1]
     if max_value is not None and top > max_value:
         raise ResourceError(f"window values reach {top}, over the cap {max_value}")
-    ns = range(n_lo, n_hi + 1)
-    if threads <= 1:
-        return [_scan_one(c, coeff, n) for n in ns]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda n: _scan_one(c, coeff, n), ns))
+    return [_scan_one(c, coeff, n) for n in range(n_lo, n_hi + 1)]
 
 
 # -- certificate serialization ------------------------------------------
 
-_CERT_KEYS = ("q", "a", "k", "m", "t", "offsets", "g_factors", "B", "g_decimal")
+_CERT_KEYS = ("q", "a", "k", "t", "offsets", "g_factors", "B", "g_decimal")
 
 
 def construction_to_dict(c: Construction, *, include_g: bool = False) -> dict:
     out: dict = {"q": c.params.q, "a": c.params.a, "k": c.params.k}
-    if c.params.m is not None:
-        out["m"] = c.params.m
     out["t"] = c.t
     out["offsets"] = list(c.offsets)
     out["g_factors"] = list(c.g_factors)
@@ -314,10 +303,7 @@ def construction_from_dict(data: dict) -> Construction:
         if not (isinstance(data[key], list)
                 and all(isinstance(v, int) and not isinstance(v, bool) for v in data[key])):
             raise DomainError(f"certificate field {key} must be a list of integers")
-    m = data.get("m")
-    if m is not None and (not isinstance(m, int) or isinstance(m, bool)):
-        raise DomainError("certificate field m must be an integer")
-    params = ConstructionParams(q=data["q"], a=data["a"], k=data["k"], m=m)
+    params = ConstructionParams(q=data["q"], a=data["a"], k=data["k"])
     c = Construction(
         params=params,
         t=data["t"],
@@ -349,8 +335,7 @@ def reverify(
     shift_cap: int = DEFAULT_SHIFT_CAP,
 ) -> Construction:
     """Re-derive every certificate field from (q, a, k) and demand an exact
-    match, then re-run the admissibility and isolation checks. Certificates
-    are self-contained, so no sieve cache is needed."""
+    match, then re-run the admissibility and isolation checks."""
     claimed = construction_from_dict(data)
     rebuilt = build(claimed.params, config=config, shift_cap=shift_cap)
     rebuilt_dict = construction_to_dict(rebuilt, include_g="g_decimal" in data)

@@ -10,7 +10,6 @@ instead of running away.
 from __future__ import annotations
 
 import os
-import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import compress
@@ -23,8 +22,6 @@ from .errors import DomainError, ResourceError
 
 DEFAULT_SEGMENT_WIDTH = 1 << 16
 DEFAULT_HEIGHT_CEILING = 1 << 40
-
-_MAGIC = b"SEGSIEV1"
 
 
 def _env_budget_bytes() -> int | None:
@@ -49,13 +46,11 @@ class SieveConfig:
         height and sieves only as far as that.
     height_ceiling: hard upper bound on any number examined.
     budget_bytes: memory cap per allocation (defaults to SHIU_SIEVE_BUDGET_MB).
-    cache: optional preloaded segment store consulted before sieving.
     """
 
     segment_width: int = DEFAULT_SEGMENT_WIDTH
     height_ceiling: int = DEFAULT_HEIGHT_CEILING
     budget_bytes: int | None = field(default_factory=_env_budget_bytes)
-    cache: "SegmentCache | None" = None
 
     def __post_init__(self):
         if self.segment_width < 8:
@@ -144,11 +139,7 @@ def iter_prime_arrays(lo: int, hi: int, config: SieveConfig | None = None) -> It
     seg_lo = lo
     while seg_lo < hi:
         seg_hi = min(seg_lo + width, hi)
-        flags = None
-        if config.cache is not None:
-            flags = config.cache.flags_for(seg_lo, seg_hi)
-        if flags is None:
-            flags = _segment_flags(seg_lo, seg_hi, base)
+        flags = _segment_flags(seg_lo, seg_hi, base)
         primes = np.flatnonzero(np.frombuffer(flags, dtype=np.uint8)).astype(np.int64, copy=False)
         primes += seg_lo
         yield primes
@@ -182,141 +173,6 @@ def primes_up_to(y: int, config: SieveConfig | None = None) -> list[int]:
     for primes in iter_prime_arrays(2, y + 1, config):
         out.extend(primes.tolist())
     return out
-
-
-def _pack_bits(flags: bytearray) -> bytes:
-    arr = np.frombuffer(bytes(flags), dtype=np.uint8)
-    return np.packbits(arr, bitorder="little").tobytes()
-
-
-def _unpack_bits(bits: bytes, size: int) -> bytearray:
-    arr = np.unpackbits(np.frombuffer(bits, dtype=np.uint8), bitorder="little")
-    return bytearray(arr[:size].tobytes())
-
-
-@dataclass(frozen=True)
-class SieveSegment:
-    """Primality flags over [lo, hi) as a bitset, LSB-first within each byte."""
-
-    lo: int
-    hi: int
-    bits: bytes
-
-    def __post_init__(self):
-        if self.lo < 2:
-            raise DomainError("segment lower bound must be >= 2")
-        if self.hi <= self.lo:
-            raise DomainError("segment must be nonempty")
-        if len(self.bits) != (self.hi - self.lo + 7) // 8:
-            raise DomainError("bitset length does not match segment width")
-
-    @classmethod
-    def sieve(cls, lo: int, hi: int, config: SieveConfig | None = None) -> "SieveSegment":
-        config = config or SieveConfig()
-        if hi > config.height_ceiling + 1:
-            raise ResourceError(
-                f"requested height {hi - 1} exceeds the ceiling {config.height_ceiling}"
-            )
-        if lo < 2 or hi <= lo:
-            raise DomainError("need 2 <= lo < hi")
-        config.check_allocation(hi - lo)
-        flags = _segment_flags(lo, hi, _base_primes(isqrt(hi - 1)))
-        return cls(lo, hi, _pack_bits(flags))
-
-    def flags(self) -> bytearray:
-        return _unpack_bits(self.bits, self.hi - self.lo)
-
-    def is_prime(self, n: int) -> bool:
-        if not self.lo <= n < self.hi:
-            raise DomainError(f"{n} outside segment [{self.lo}, {self.hi})")
-        i = n - self.lo
-        return bool(self.bits[i >> 3] >> (i & 7) & 1)
-
-    def primes(self) -> list[int]:
-        return list(compress(range(self.lo, self.hi), self.flags()))
-
-
-class SegmentCache:
-    """Read-only store of disjoint sieved segments, usable across processes."""
-
-    def __init__(self, segments: list[SieveSegment]):
-        self._segments = sorted(segments, key=lambda s: s.lo)
-        for prev, cur in zip(self._segments, self._segments[1:]):
-            if cur.lo < prev.hi:
-                raise DomainError("cache segments overlap")
-
-    def __len__(self) -> int:
-        return len(self._segments)
-
-    def coverage(self) -> list[tuple[int, int]]:
-        return [(s.lo, s.hi) for s in self._segments]
-
-    def flags_for(self, lo: int, hi: int) -> bytearray | None:
-        """Flags over [lo, hi) if fully covered by stored segments, else None."""
-        out = bytearray()
-        pos = lo
-        for seg in self._segments:
-            if seg.hi <= pos:
-                continue
-            if seg.lo > pos:
-                return None
-            take_hi = min(hi, seg.hi)
-            out += seg.flags()[pos - seg.lo:take_hi - seg.lo]
-            pos = take_hi
-            if pos >= hi:
-                return out
-        return out if pos >= hi else None
-
-
-def dump_segments(path: str, height: int, config: SieveConfig | None = None) -> int:
-    """Sieve [2, height) and write it as length-prefixed little-endian bitset
-    records. Returns the number of records written."""
-    config = config or SieveConfig()
-    if height > config.height_ceiling + 1:
-        raise ResourceError(f"height {height} exceeds the ceiling {config.height_ceiling}")
-    if height <= 2:
-        raise DomainError("height must be > 2")
-    # the dump is read back whole, so budget the full bitset, not one segment
-    config.check_allocation((height - 2 + 7) // 8)
-    base_limit = isqrt(height - 1)
-    config.check_allocation(base_limit + 1)
-    base = _base_primes(base_limit)
-    width = config.effective_width()
-    count = 0
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        lo = 2
-        while lo < height:
-            hi = min(lo + width, height)
-            bits = _pack_bits(_segment_flags(lo, hi, base))
-            fh.write(struct.pack("<QQQ", lo, hi, len(bits)))
-            fh.write(bits)
-            lo = hi
-            count += 1
-    return count
-
-
-def load_segments(path: str, config: SieveConfig | None = None) -> SegmentCache:
-    config = config or SieveConfig()
-    segments = []
-    total = 0
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise DomainError(f"{path} is not a sieve cache file")
-        while True:
-            header = fh.read(24)
-            if not header:
-                break
-            if len(header) != 24:
-                raise DomainError(f"{path}: truncated record header")
-            lo, hi, nbytes = struct.unpack("<QQQ", header)
-            total += nbytes
-            config.check_allocation(total)
-            bits = fh.read(nbytes)
-            if len(bits) != nbytes:
-                raise DomainError(f"{path}: truncated bitset")
-            segments.append(SieveSegment(lo, hi, bits))
-    return SegmentCache(segments)
 
 
 class APIndex:
@@ -389,9 +245,3 @@ class APIndex:
         """Snapshot of the entries discovered so far."""
         return tuple(self._primes)
 
-
-def count_ap_primes(q: int, a: int, y: int, config: SieveConfig | None = None) -> int:
-    """Count primes p <= y with p = a mod q."""
-    if y < 0:
-        raise DomainError("upper bound must be nonnegative")
-    return APIndex(q, a, config).count_up_to(y)

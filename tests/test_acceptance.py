@@ -111,10 +111,7 @@ def test_4_window_scan_is_clean_and_deterministic(announce):
             assert r.primality_proven
             assert set(r.prime_offsets) <= offsets
         again = scan_windows(c, 1, 1000)
-        threaded = scan_windows(c, 1, 1000, threads=4)
-        assert (window_reports_to_jsonl(reports)
-                == window_reports_to_jsonl(again)
-                == window_reports_to_jsonl(threaded))
+        assert window_reports_to_jsonl(reports) == window_reports_to_jsonl(again)
 
 
 @lru_cache(maxsize=1)
@@ -175,8 +172,7 @@ def test_7_shift_windows_and_bound_table(announce):
                 assert verify_t_window(q, a, k, linnik, idx=idx)
         rows = bound_table(GRID_Q, GRID_K, linnik=linnik)
         again = bound_table(GRID_Q, GRID_K, linnik=linnik)
-        threaded = bound_table(GRID_Q, GRID_K, linnik=linnik, threads=4)
-        assert rows == again == threaded
+        assert rows == again
         for row in rows:
             assert row.error is None
             assert row.B > 0

@@ -61,10 +61,9 @@ def test_bound_table_order_is_lexicographic():
     ]
 
 
-def test_bound_table_determinism_and_thread_independence():
+def test_bound_table_determinism():
     base = bound_table(range(3, 9), range(2, 6))
     assert bound_table(range(3, 9), range(2, 6)) == base
-    assert bound_table(range(3, 9), range(2, 6), threads=3) == base
 
 
 def test_bound_table_input_validation():

@@ -15,7 +15,6 @@ from shiu.construction import (
     window_reports_to_jsonl,
 )
 from shiu.errors import InternalConsistencyError
-from shiu.sieve import load_segments
 from shiu.tuples import format_tuple_text
 
 
@@ -120,6 +119,15 @@ class TestVerify:
         assert code == 1
         assert "cannot read certificate" in err
 
+    def test_m_field_rejected(self, capsys, tmp_path):
+        path = self.make_cert(capsys, tmp_path)
+        data = json.loads(path.read_text())
+        path.write_text(json.dumps({**data, "m": 3}))
+        code, out, err = run(capsys, "verify", "--cert", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: domain:")
+        assert "unknown fields" in err
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -139,14 +147,14 @@ class TestScan:
         c = build(ConstructionParams(q=3, a=1, k=5))
         assert out == window_reports_to_jsonl(scan_windows(c, 1, 20))
 
-    def test_threads_do_not_change_output(self, capsys, tmp_path):
+    def test_repeat_scans_are_byte_identical(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
         run(capsys, "construct", "--q", "3", "--a", "1", "--k", "5",
             "--output", str(path))
-        base = ("scan", "--cert", str(path), "--n-lo", "0", "--n-hi", "30")
-        _, serial, _ = run(capsys, *base)
-        _, threaded, _ = run(capsys, *base, "--threads", "4")
-        assert serial == threaded
+        argv = ("scan", "--cert", str(path), "--n-lo", "0", "--n-hi", "30")
+        _, first, _ = run(capsys, *argv)
+        _, second, _ = run(capsys, *argv)
+        assert first == second
 
     def test_text_lines(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
@@ -213,29 +221,31 @@ def test_search_not_found(capsys):
     assert err.startswith("error: not-found:")
 
 
-def test_sieve_cache_round_trip(capsys, tmp_path):
-    path = tmp_path / "segments.bin"
-    code, out, _ = run(capsys, "sieve-cache", "--height", "100000",
-                       "--path", str(path))
-    assert code == 0
-    assert out == f"wrote 2 segments covering [2, 100000] to {path}\n"
-    cache = load_segments(str(path))
-    flags = cache.flags_for(99991, 99992)
-    assert flags == bytearray([1])  # largest prime below 10^5
-    # and the cache is accepted as a preload by another subcommand
-    code, out, _ = run(capsys, "construct", "--q", "3", "--a", "1", "--k", "5",
-                       "--sieve-cache", str(path))
-    assert code == 0
-    assert json.loads(out)["B"] == 30
+@pytest.mark.parametrize("argv", [
+    ("sieve-cache", "--height", "100000", "--path", "primes.bin"),
+    ("construct", "--q", "3", "--a", "1", "--k", "5", "--m", "3"),
+    ("scan", "--cert", "cert.json", "--n-lo", "1", "--n-hi", "2",
+     "--threads", "4"),
+    ("bounds", "--q-min", "3", "--q-max", "4", "--k-min", "2", "--k-max", "3",
+     "--threads", "2"),
+    ("construct", "--q", "3", "--a", "1", "--k", "5", "--sieve-cache", "X"),
+], ids=["sieve-cache", "construct-m", "scan-threads", "bounds-threads",
+        "sieve-cache-flag"])
+def test_removed_options_are_refused(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "construct", "--q", "3", "--a", "1", "--k", "5",
+        "--output", "cert.json")
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: domain:")
 
 
-def test_budget_env_stops_big_dumps(capsys, tmp_path, monkeypatch):
+def test_budget_env_stops_big_construct(capsys, monkeypatch):
     monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "1")
-    code, _, err = run(capsys, "sieve-cache", "--height", "900000000",
-                       "--path", str(tmp_path / "huge.bin"))
-    assert code == 2
+    code, out, err = run(capsys, "construct", "--q", "100003", "--a", "1",
+                         "--k", "2")
+    assert code == 2 and out == ""
     assert err.startswith("error: resource:")
-    assert not (tmp_path / "huge.bin").exists()
 
 
 def test_internal_error_emits_repro_bundle(capsys, monkeypatch):

@@ -6,14 +6,9 @@ from hypothesis import strategies as st
 from shiu.errors import DomainError, ResourceError
 from shiu.sieve import (
     APIndex,
-    SegmentCache,
     SieveConfig,
-    SieveSegment,
-    count_ap_primes,
-    dump_segments,
     iter_primes,
     least_prime_factors,
-    load_segments,
     primes_up_to,
 )
 
@@ -80,48 +75,6 @@ def test_env_budget_validation(monkeypatch):
     assert SieveConfig().budget_bytes == 64 << 20
 
 
-class TestSegments:
-    def test_sieve_and_query(self):
-        seg = SieveSegment.sieve(100, 200)
-        want = set(trial_primes(199)) - set(trial_primes(99))
-        assert set(seg.primes()) == want
-        assert seg.is_prime(101)
-        assert not seg.is_prime(100)
-        with pytest.raises(DomainError):
-            seg.is_prime(200)
-
-    def test_bits_length_invariant(self):
-        seg = SieveSegment.sieve(2, 19)
-        assert len(seg.bits) == (19 - 2 + 7) // 8
-        with pytest.raises(DomainError):
-            SieveSegment(2, 19, b"\x00")
-
-    def test_dump_load_round_trip(self, tmp_path):
-        path = tmp_path / "segments.bin"
-        n = dump_segments(str(path), 50000)
-        assert n >= 1
-        cache = load_segments(str(path))
-        cfg = SieveConfig(cache=cache)
-        assert primes_up_to(49999, cfg) == primes_up_to(49999)
-
-    def test_cache_miss_returns_none(self):
-        cache = SegmentCache([SieveSegment.sieve(2, 100)])
-        assert cache.flags_for(50, 150) is None
-        assert cache.flags_for(2, 100) is not None
-
-    def test_load_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"which is not a dump")
-        with pytest.raises(DomainError):
-            load_segments(str(path))
-
-    def test_load_respects_budget(self, tmp_path):
-        path = tmp_path / "segments.bin"
-        dump_segments(str(path), 200000)
-        with pytest.raises(ResourceError):
-            load_segments(str(path), SieveConfig(budget_bytes=1000))
-
-
 class TestAPIndex:
     def test_known_sequences(self):
         idx = APIndex(3, 1)
@@ -133,9 +86,9 @@ class TestAPIndex:
 
     def test_module_level_helpers(self):
         assert APIndex(3, 1).nth(4) == 31
-        assert count_ap_primes(3, 1, 20) == 3
-        assert count_ap_primes(3, 1, 6) == 0
-        assert count_ap_primes(4, 1, 10) == 1
+        assert APIndex(3, 1).count_up_to(20) == 3
+        assert APIndex(3, 1).count_up_to(6) == 0
+        assert APIndex(4, 1).count_up_to(10) == 1
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
