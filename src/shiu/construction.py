@@ -203,15 +203,16 @@ def verify_isolation(c: Construction) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class WindowReport:
-    """Outcome of exhaustively primality-testing one window.
+    """Outcome of deciding the primality of every integer in one window.
 
     prime_offsets: offsets whose form value is prime at this n.
     window_prime_count: primes found anywhere in the window, off-offset ones
     included (they can exist only at n = 0, where a form value may equal a
     small prime dividing the coefficient; such windows are flagged
     degenerate).
-    primality_proven: False when any tested value was beyond the range of the
-    deterministic test and a probable-prime battery was used instead.
+    primality_proven: False when some value at or above 2^64 shares no
+    proper factor with the coefficient, so the Baillie-PSW probable-prime
+    test decided it.
     """
 
     n: int
@@ -229,6 +230,8 @@ def _scan_one(c: Construction, coeff: int, n: int) -> WindowReport:
     found: list[int] = []
     proven = True
     for v in range(base + c.offsets[0], base + c.offsets[-1] + 1):
+        if 1 < gcd(v, coeff) < v:
+            continue  # a proper factor is a proven composite verdict
         is_p, det = classify_prime(v)
         proven = proven and det
         if is_p:
@@ -253,10 +256,14 @@ def scan_windows(
     *,
     max_value: int | None = None,
 ) -> list[WindowReport]:
-    """Exhaustively test every integer in each window for n in [n_lo, n_hi].
+    """Decide the primality of every integer in each window for n in
+    [n_lo, n_hi].
 
-    Reports, per n, which offsets carry primes and whether any prime occurs
-    off-offset, in n order.
+    A value v with 1 < gcd(v, g*q) < v is composite by that factor and is
+    not tested further; this holds for any coefficient, so a wrong
+    certificate cannot make a prime look composite. Every other value goes
+    to classify_prime. Reports, per n, which offsets carry primes and
+    whether any prime occurs off-offset, in n order.
     """
     if n_lo < 0 or n_hi < n_lo:
         raise DomainError("need 0 <= n_lo <= n_hi")

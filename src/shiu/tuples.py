@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DomainError, ResourceError
-from .primality import classify_prime, is_probable_prime
+from .primality import classify_prime
 from .sieve import primes_up_to
 
 
@@ -103,7 +103,7 @@ def _prime_factors_of(d: int, trial_limit: int = 10**6) -> set[int]:
             d //= f
         f += 2
     if d > 1:
-        if f * f > d or is_probable_prime(d):
+        if f * f > d or classify_prime(d)[0]:
             out.add(d)
         else:
             raise ResourceError(

@@ -104,3 +104,22 @@ def blocking_oracle(offsets, g_factors) -> list[tuple[int, int]]:
         for h in range(offsets[0], offsets[-1] + 1)
         if h not in offsets
     ]
+
+
+def window_oracle(q: int, a: int, offsets, coeff: int, n: int, isprime) -> dict:
+    """What a scan of window n must report, found by running isprime on every
+    value in it. A verdict counts as proven when the value is below 2^64 or
+    has a proper factor that divides coeff."""
+    base = coeff * n
+    values = range(base + offsets[0], base + offsets[-1] + 1)
+    primes = [v for v in values if isprime(v)]
+    prime_offsets = [v - base for v in primes if v - base in offsets]
+    return {
+        "n": n,
+        "prime_offsets": prime_offsets,
+        "window_prime_count": len(primes),
+        "degenerate": n == 0,
+        "congruence_ok": all(v % q == a % q for v in primes),
+        "isolation_ok": len(prime_offsets) == len(primes),
+        "primality_proven": all(v < 1 << 64 or 1 < gcd(v, coeff) < v for v in values),
+    }

@@ -2,6 +2,7 @@ import json
 from math import gcd
 
 import pytest
+from sympy import isprime
 
 import shiu.construction as construction
 from shiu.construction import (
@@ -18,13 +19,14 @@ from shiu.construction import (
     scan_windows,
     verify_admissible,
     verify_isolation,
+    window_report_to_dict,
     window_reports_to_jsonl,
 )
 from shiu.errors import DomainError, InternalConsistencyError, ResourceError
 from shiu.sieve import APIndex, SieveConfig
 from shiu.tuples import AdmissibilityReport
 
-from ._oracles import blocking_oracle, choose_t_oracle
+from ._oracles import blocking_oracle, choose_t_oracle, window_oracle
 
 # the worked example, every field pinned by independent derivation
 EX_OFFSETS = (7, 13, 19, 31, 37)
@@ -268,6 +270,67 @@ class TestScanWindows:
         assert list(first) == ["n", "prime_offsets", "window_prime_count",
                                "degenerate", "congruence_ok", "isolation_ok",
                                "primality_proven"]
+
+
+U64 = 1 << 64
+SCAN_CERTS = [(3, 1, 5), (5, 2, 6)]
+
+
+def _scan(c, lo, hi):
+    return [window_report_to_dict(r) for r in scan_windows(c, lo, hi)]
+
+
+def _oracle_scan(c, lo, hi):
+    return [window_oracle(c.params.q, c.params.a, c.offsets, c.coefficient(), n, isprime)
+            for n in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("q, a, k", SCAN_CERTS)
+def test_scan_matches_brute_force_oracle(q, a, k):
+    c = build(ConstructionParams(q=q, a=a, k=k))
+    assert _scan(c, 0, 40) == _oracle_scan(c, 0, 40)
+    # the last windows wholly below 2^64 and the first ones above it
+    top = (U64 - 1 - c.offsets[-1]) // c.coefficient()
+    lo, hi = max(top - 1, 0), top + 2
+    reports = _scan(c, lo, hi)
+    assert reports == _oracle_scan(c, lo, hi)
+    assert {r["primality_proven"] for r in reports} == {True, False}
+
+
+def test_scan_of_a_window_containing_2_64_matches_oracle():
+    # (3,2,3) has offsets 5, 11, 17 and coefficient 1638; this window runs
+    # from 2^64 - 11 to 2^64 + 1
+    c = build(ConstructionParams(q=3, a=2, k=3))
+    n = 11261748518748200
+    assert c.coefficient() * n + c.offsets[0] < U64 < c.coefficient() * n + c.offsets[-1]
+    reports = _scan(c, n, n)
+    assert reports == _oracle_scan(c, n, n)
+    assert not reports[0]["primality_proven"]
+
+
+@pytest.mark.parametrize("q, a, k", SCAN_CERTS)
+@pytest.mark.parametrize("drop", [0, -1])
+def test_scan_never_trusts_the_certificate(q, a, k, drop):
+    c = build(ConstructionParams(q=q, a=a, k=k))
+    g_factors = list(c.g_factors)
+    del g_factors[drop]
+    # built directly and never reverified: the window is no longer isolated
+    bad = Construction(c.params, c.t, c.offsets, tuple(g_factors), c.B)
+    reports = _scan(bad, 0, 60)
+    assert reports == _oracle_scan(bad, 0, 60)
+    assert not all(r["isolation_ok"] for r in reports[1:])
+
+
+@pytest.mark.parametrize("q, a, k", SCAN_CERTS)
+def test_scan_tests_only_the_offset_values(q, a, k, monkeypatch):
+    tested = []
+    classify = construction.classify_prime
+    monkeypatch.setattr(construction, "classify_prime",
+                        lambda v: tested.append(v) or classify(v))
+    c = build(ConstructionParams(q=q, a=a, k=k))
+    scan_windows(c, 1, 20)
+    coeff = c.coefficient()
+    assert tested == [coeff * n + h for n in range(1, 21) for h in c.offsets]
 
 
 class TestCertificates:

@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import raises
 
-from shiu.errors import DomainError
+from shiu.errors import DomainError, ResourceError
 from shiu.tuples import (
     KTuple,
     LinearForm,
+    _prime_factors_of,
     format_form_text,
     format_tuple_json,
     format_tuple_text,
@@ -165,3 +166,20 @@ def test_round_trips_are_bit_exact_at_any_size(pairs):
     assert parse_tuple_json(format_tuple_json(t)) == t
     assert format_form_text(parse_form_text(format_form_text(t.forms[0]))) \
         == format_form_text(t.forms[0])
+
+
+PSI12 = 318665857834031151167461  # 399165290221 * 798330580441
+
+
+def test_prime_factors_refuses_a_strong_pseudoprime_cofactor():
+    # both factors lie past the trial bound, so only the primality test
+    # stands between this composite and a claim that it is prime
+    with raises(ResourceError):
+        _prime_factors_of(PSI12)
+    with raises(ResourceError):
+        is_admissible(make_tuple([(PSI12, PSI12), (1, 2)]))
+
+
+def test_prime_factors_accepts_a_large_prime_cofactor():
+    m89 = (1 << 89) - 1
+    assert _prime_factors_of(12 * m89) == {2, 3, m89}
