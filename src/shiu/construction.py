@@ -14,6 +14,7 @@ B = l_{t+k} - l_{t+1}.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, prod
 
@@ -26,7 +27,7 @@ from .sieve import (
     least_prime_factors,
     primes_up_to,
 )
-from .tuples import AdmissibilityReport, KTuple, LinearForm, _prime_factors_of, is_admissible
+from .tuples import AdmissibilityReport, KTuple, LinearForm, is_admissible
 
 DEFAULT_SHIFT_CAP = 10**6
 
@@ -73,9 +74,9 @@ class Construction:
             raise DomainError("shift must be nonnegative")
         if len(self.offsets) != k:
             raise DomainError(f"expected {k} offsets, got {len(self.offsets)}")
-        if any(b <= a for a, b in zip(self.offsets, self.offsets[1:])):
+        if list(self.offsets) != sorted(set(self.offsets)):
             raise DomainError("offsets must be strictly increasing")
-        if any(b <= a for a, b in zip(self.g_factors, self.g_factors[1:])):
+        if list(self.g_factors) != sorted(set(self.g_factors)):
             raise DomainError("g_factors must be strictly increasing")
         if not k < self.offsets[0]:
             raise DomainError("need k < first offset")
@@ -83,7 +84,7 @@ class Construction:
             raise DomainError("need last offset below the square of the first")
         if any(off % q != res for off in self.offsets):
             raise DomainError("every offset must be congruent to a mod q")
-        if set(self.g_factors) & set(self.offsets):
+        if not set(self.offsets).isdisjoint(self.g_factors):
             raise DomainError("g_factors and offsets must be disjoint")
         if self.B != self.offsets[-1] - self.offsets[0]:
             raise DomainError("B must equal last offset minus first offset")
@@ -119,14 +120,26 @@ def build(
     config: SieveConfig | None = None,
     shift_cap: int = DEFAULT_SHIFT_CAP,
 ) -> Construction:
-    config = config or (idx.config if idx is not None else SieveConfig())
+    """The construction with the least admissible shift. Offsets and
+    g_factors are both read from one progression index: idx if given, which
+    must be for the progression of params, else a fresh one made with config.
+    g_factors are the slices of idx.primes between the offsets."""
     if idx is None:
         idx = APIndex(params.q, params.a, config)
+    elif (idx.q, idx.a) != (params.q, params.residue):
+        raise DomainError(
+            f"index is for primes = {idx.a} mod {idx.q}, not {params.residue} mod {params.q}"
+        )
     t = choose_t(idx, params.k, shift_cap)
     offsets = tuple(idx.nth(t + i) for i in range(1, params.k + 1))
-    chosen = set(offsets)
-    g_factors = tuple(p for p in primes_up_to(offsets[-1], config) if p not in chosen)
-    return Construction(params, t, offsets, g_factors, offsets[-1] - offsets[0])
+    primes = idx.primes
+    g_factors: list[int] = []
+    lo = 0
+    for off in offsets:
+        hi = bisect_left(primes, off, lo)
+        g_factors += primes[lo:hi]
+        lo = hi + 1
+    return Construction(params, t, offsets, tuple(g_factors), offsets[-1] - offsets[0])
 
 
 def as_ktuple(c: Construction) -> KTuple:
@@ -145,13 +158,10 @@ def verify_admissible(c: Construction) -> AdmissibilityReport:
     0 is never hit. Disagreement between the two routes is a bug.
     """
     q, res, k = c.params.q, c.params.residue, c.params.k
-    coeff_primes = set(c.g_factors) | _prime_factors_of(q)
-    specialized_ok = True
-    for p in sorted(coeff_primes):
-        if any(off % p == 0 for off in c.offsets):
-            specialized_ok = False
+    coeff = c.coefficient()
+    specialized_ok = all(gcd(off, coeff) == 1 for off in c.offsets)
     for p in primes_up_to(k):
-        if p in coeff_primes:
+        if coeff % p == 0:
             continue
         residues = {off % p for off in c.offsets}
         if 0 in residues or len(residues) >= p:
@@ -325,14 +335,6 @@ def construction_from_dict(data: dict) -> Construction:
         if int(g_decimal) != c.g_value():
             raise DomainError("g_decimal does not match the product of g_factors")
     return c
-
-
-def construction_from_json(text: str) -> Construction:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"malformed certificate JSON: {exc}") from exc
-    return construction_from_dict(data)
 
 
 def reverify(

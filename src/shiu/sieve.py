@@ -176,15 +176,18 @@ def primes_up_to(y: int, config: SieveConfig | None = None) -> list[int]:
 
 
 class APIndex:
-    """The primes congruent to a modulo q, indexed from 1 in increasing order.
+    """Every prime below a height, and the primes congruent to a modulo q
+    among them indexed from 1 in increasing order.
 
     Extends itself by sieving further on demand and memoizes what it has
     found. The first extension reaches 8*q, which already holds the first
     few entries; each later one doubles the height, so the index never sieves
-    more than about twice the height its largest answer needs. Consecutive
-    entries differ by a positive multiple of q, so the (k+1)-st entry always
-    exceeds q*k. Mutation is not thread-safe; queries on an index that is no
-    longer extending are.
+    more than about twice the height its largest answer needs. `primes`
+    keeps every prime sieved, so build reads its offsets and coefficient
+    factors from one sieve; the memory budget is charged for that list.
+    Consecutive entries differ by a positive multiple of q, so the (k+1)-st
+    entry always exceeds q*k. Mutation is not thread-safe; queries on an
+    index that is no longer extending are.
     """
 
     def __init__(self, q: int, a: int, config: SieveConfig | None = None):
@@ -195,19 +198,16 @@ class APIndex:
         self.q = q
         self.a = a % q
         self._config = config or SieveConfig()
-        self._primes: list[int] = []
+        self.primes: list[int] = []
+        self._members: list[int] = []
         self._height = 2  # everything below this has been scanned
-
-    @property
-    def config(self) -> SieveConfig:
-        return self._config
 
     def nth(self, n: int) -> int:
         if n < 1:
             raise DomainError("progression index is 1-based")
-        while len(self._primes) < n:
+        while len(self._members) < n:
             self._extend()
-        return self._primes[n - 1]
+        return self._members[n - 1]
 
     def extend_to(self, height: int) -> None:
         if height <= self._height:
@@ -216,16 +216,18 @@ class APIndex:
             raise ResourceError(
                 f"height {height - 1} exceeds the ceiling {self._config.height_ceiling}"
             )
+        self._config.check_allocation(_prime_list_bytes(height))
         q, a = self.q, self.a
         for primes in iter_prime_arrays(self._height, height, self._config):
-            self._primes.extend(primes[primes % q == a].tolist())
+            self.primes.extend(primes.tolist())
+            self._members.extend(primes[primes % q == a].tolist())
         self._height = height
 
     def _extend(self) -> None:
         ceiling = self._config.height_ceiling
         if self._height >= ceiling + 1:
             raise ResourceError(
-                f"only {len(self._primes)} primes = {self.a} mod {self.q} "
+                f"only {len(self._members)} primes = {self.a} mod {self.q} "
                 f"below the ceiling {ceiling}"
             )
         target = max(self._height * 2, 8 * self.q)
@@ -239,9 +241,4 @@ class APIndex:
                     f"height {y} exceeds the ceiling {self._config.height_ceiling}"
                 )
             self.extend_to(y + 1)
-        return bisect_right(self._primes, y)
-
-    def known(self) -> tuple[int, ...]:
-        """Snapshot of the entries discovered so far."""
-        return tuple(self._primes)
-
+        return bisect_right(self._members, y)

@@ -10,8 +10,6 @@ gives the finite check set used here.
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass
 from math import gcd
 
@@ -134,61 +132,11 @@ def is_admissible(t: KTuple) -> AdmissibilityReport:
     return AdmissibilityReport(True, None, tuple(checked))
 
 
-# text format: one form per line, "g*x+h" or "g*x-h", no leading zeros
-_FORM_RE = re.compile(r"^([1-9][0-9]*)\*x([+-])(0|[1-9][0-9]*)$")
-_INT_RE = re.compile(r"^-?(0|[1-9][0-9]*)$")
-_POSINT_RE = re.compile(r"^[1-9][0-9]*$")
-
-
 def format_form_text(f: LinearForm) -> str:
+    """One form as "g*x+h" or "g*x-h"."""
     sign = "+" if f.h >= 0 else "-"
     return f"{f.g}*x{sign}{abs(f.h)}"
 
 
-def parse_form_text(line: str) -> LinearForm:
-    m = _FORM_RE.match(line)
-    if m is None:
-        raise DomainError(f"malformed linear form {line!r}")
-    g = int(m.group(1))
-    h = int(m.group(3))
-    if m.group(2) == "-":
-        if h == 0:
-            raise DomainError(f"malformed linear form {line!r}: -0 constant")
-        h = -h
-    return LinearForm(g, h)
-
-
 def format_tuple_text(t: KTuple) -> str:
     return "".join(format_form_text(f) + "\n" for f in t.forms)
-
-
-def parse_tuple_text(text: str) -> KTuple:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise DomainError("empty tuple text")
-    return KTuple(tuple(parse_form_text(line.strip()) for line in lines))
-
-
-def format_tuple_json(t: KTuple) -> str:
-    return json.dumps([[str(f.g), str(f.h)] for f in t.forms])
-
-
-def parse_tuple_json(text: str) -> KTuple:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"malformed tuple JSON: {exc}") from exc
-    if not isinstance(data, list):
-        raise DomainError("tuple JSON must be an array of [g, h] pairs")
-    forms = []
-    for item in data:
-        if not (isinstance(item, list) and len(item) == 2
-                and all(isinstance(x, str) for x in item)):
-            raise DomainError("each entry must be a pair of decimal strings")
-        g_str, h_str = item
-        if not _POSINT_RE.match(g_str):
-            raise DomainError(f"coefficient {g_str!r} is not a positive decimal integer")
-        if not _INT_RE.match(h_str):
-            raise DomainError(f"constant {h_str!r} is not a decimal integer")
-        forms.append(LinearForm(int(g_str), int(h_str)))
-    return KTuple(tuple(forms))

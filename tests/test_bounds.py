@@ -17,7 +17,7 @@ from shiu.bounds import (
     verify_t_window,
 )
 from shiu.errors import DomainError
-from shiu.sieve import SieveConfig
+from shiu.sieve import APIndex, SieveConfig
 
 
 def test_linnik_window_arithmetic():
@@ -44,6 +44,13 @@ def test_measure_b_materializes_failures():
     assert row.error is not None
     assert row.t is None and row.B is None
     assert row.q == 3 and row.window_cap == 25
+
+
+def test_measure_b_refuses_an_index_for_another_progression():
+    row = measure_b(4, 1, 3, idx=APIndex(8, 1))
+    assert row.t is None and row.B is None
+    assert "index" in row.error
+    assert measure_b(4, 1, 3, idx=APIndex(4, 1)).B == 12
 
 
 def test_bound_table_cardinalities():

@@ -1,5 +1,6 @@
 """End-to-end exercises of the argparse front end, run in process."""
 
+import hashlib
 import json
 
 import pytest
@@ -54,6 +55,27 @@ def test_repeat_runs_are_byte_identical(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+# sha256 of stdout at a reference commit: the bytes of these outputs are
+# part of the contract, so any change to them has to be deliberate
+PINNED_OUTPUTS = {
+    "bounds --q-min 3 --q-max 30 --k-min 2 --k-max 12 --format csv":
+        "24b7001dcca2d8e6ce2ce27f9153bdb40ed2a6cf9881363e92e337c4f7ac09d9",
+    "construct --q 29 --a 1 --k 12 --with-g":
+        "9b83943089646f9b6dc5ab6f385f8a38f3c34197734825a041e0ef1900548e98",
+    "construct --q 3 --a 1 --k 5 --format text":
+        "c5be75dc3876fb9cc513ad6c1cdb9dced5e26562dace5b584491a12af935a955",
+    "--seed-doc":
+        "ae5e1dab89df0745ad897d88b85ea039e88a5db6d9e2c6fa9bc2bc00cafad501",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_OUTPUTS))
+def test_outputs_match_pinned_bytes(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[argv]
 
 
 def test_output_file_equals_stdout(capsys, tmp_path):

@@ -12,7 +12,6 @@ from shiu.construction import (
     as_ktuple,
     choose_t,
     construction_from_dict,
-    construction_from_json,
     construction_to_dict,
     construction_to_json,
     reverify,
@@ -26,7 +25,7 @@ from shiu.errors import DomainError, InternalConsistencyError, ResourceError
 from shiu.sieve import APIndex, SieveConfig
 from shiu.tuples import AdmissibilityReport
 
-from ._oracles import blocking_oracle, choose_t_oracle, window_oracle
+from ._oracles import blocking_oracle, choose_t_oracle, trial_primes, window_oracle
 
 # the worked example, every field pinned by independent derivation
 EX_OFFSETS = (7, 13, 19, 31, 37)
@@ -96,6 +95,26 @@ def test_build_k2_example():
     assert c.t == 0
     assert c.offsets == (7, 13)
     assert c.B == 6
+
+
+def test_build_refuses_an_index_for_another_progression():
+    # an index of primes = 1 mod 8 would give offsets (17, 41, 73) and B = 56
+    with pytest.raises(DomainError, match="index"):
+        build(ConstructionParams(q=4, a=1, k=3), idx=APIndex(8, 1))
+    with pytest.raises(DomainError, match="index"):
+        build(ConstructionParams(q=4, a=1, k=3), idx=APIndex(4, 3))
+    c = build(ConstructionParams(q=4, a=5, k=3), idx=APIndex(4, 1))
+    assert c.offsets == (5, 13, 17) and c.B == 12
+
+
+def test_build_reads_g_factors_from_the_index_without_sieving_again(monkeypatch):
+    idx = APIndex(29, 1)
+    first = build(ConstructionParams(q=29, a=1, k=12), idx=idx)
+    monkeypatch.setattr(construction, "primes_up_to", None)
+    again = build(ConstructionParams(q=29, a=1, k=12), idx=idx)
+    assert again == first == build(ConstructionParams(q=29, a=1, k=12))
+    assert again.g_factors == tuple(p for p in trial_primes(again.offsets[-1])
+                                    if p not in again.offsets)
 
 
 def test_construction_validation_catches_tampering():
@@ -347,7 +366,7 @@ class TestCertificates:
         assert blob.endswith("\n")
         data = json.loads(blob)
         assert data["g_decimal"] == str(EX_G)
-        assert construction_from_json(blob) == self.c
+        assert construction_from_dict(json.loads(blob)) == self.c
 
     def test_rejects_unknown_and_missing_fields(self):
         d = construction_to_dict(self.c)

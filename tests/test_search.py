@@ -5,7 +5,6 @@ import pytest
 
 from shiu.errors import DomainError, NotFoundError
 from shiu.search import (
-    DiameterStats,
     ShiuString,
     all_strings,
     diameter_stats,

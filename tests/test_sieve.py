@@ -3,6 +3,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shiu.sieve as sieve
 from shiu.errors import DomainError, ResourceError
 from shiu.sieve import (
     APIndex,
@@ -122,10 +123,18 @@ class TestAPIndex:
         for n in (1, 2, 7, 25):
             assert idx.count_up_to(idx.nth(n)) == n
 
-    def test_first_extension_is_sized_to_the_query(self):
+    def test_first_extension_is_sized_to_the_query(self, monkeypatch):
+        heights = []
+        real = sieve.iter_prime_arrays
+
+        def recording(lo, hi, config=None):
+            heights.append(hi)
+            return real(lo, hi, config)
+
+        monkeypatch.setattr(sieve, "iter_prime_arrays", recording)
         idx = APIndex(3, 1)
         assert idx.nth(5) == 37
-        assert len(idx.known()) < 64
+        assert heights and max(heights) < 64
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([(3, 1), (3, 2), (4, 3), (5, 2), (7, 5), (12, 7), (29, 1)]),
@@ -135,14 +144,26 @@ class TestAPIndex:
         q, a = qa
         idx = APIndex(q, a, SieveConfig(segment_width=width))
         want = ap_primes_oracle(q, a, n)
-        assert idx.nth(n) == want[-1]
-        assert list(idx.known()[:n]) == want
+        assert [idx.nth(i) for i in range(1, n + 1)] == want
         assert idx.count_up_to(want[-1]) == n
 
     def test_ceiling_error(self):
         idx = APIndex(9973, 1, SieveConfig(height_ceiling=5000))
         with pytest.raises(ResourceError):
             idx.nth(1)
+
+    def test_budget_covers_the_kept_prime_list(self):
+        # the first extension reaches 8*q = 800024, whose prime list is
+        # estimated at about 3 MiB; the sieve segments alone fit in 1 MiB
+        idx = APIndex(100003, 1, SieveConfig(budget_bytes=1 << 20))
+        with pytest.raises(ResourceError):
+            idx.nth(1)
+
+    @pytest.mark.parametrize("q,a", [(3, 1), (4, 3), (29, 1)])
+    def test_keeps_every_prime_below_its_height(self, q, a):
+        idx = APIndex(q, a)
+        assert idx.nth(30) in idx.primes
+        assert idx.primes == trial_primes(idx.primes[-1])
 
 
 @settings(max_examples=30)
