@@ -7,7 +7,6 @@ from .bounds import (
     bound_table,
     measure_b,
     scaling_fit,
-    verify_t_window,
 )
 from .construction import (
     Construction,
@@ -36,7 +35,7 @@ from .search import (
     first_string,
     verify_string,
 )
-from .sieve import APIndex, SieveConfig, primes_up_to
+from .sieve import APIndex, primes_up_to
 from .tuples import (
     AdmissibilityReport,
     KTuple,
@@ -65,7 +64,6 @@ __all__ = [
     "ScalingFit",
     "ShiuError",
     "ShiuString",
-    "SieveConfig",
     "WindowReport",
     "all_strings",
     "as_ktuple",
@@ -85,5 +83,4 @@ __all__ = [
     "verify_admissible",
     "verify_isolation",
     "verify_string",
-    "verify_t_window",
 ]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .construction import ConstructionParams, build
 from .errors import DomainError, ShiuError
-from .sieve import APIndex, SieveConfig
+from .sieve import APIndex
 
 DEFAULT_LINNIK_EXPONENT = 5.0
 
@@ -42,34 +42,6 @@ class LinnikConfig:
 
     def window_cap(self, k: int) -> int:
         return (k - 1) * self.m_for(k) + k
-
-
-def verify_t_window(
-    q: int,
-    a: int,
-    k: int,
-    linnik: LinnikConfig | None = None,
-    *,
-    idx: APIndex | None = None,
-    config: SieveConfig | None = None,
-) -> bool:
-    """Whether some shift t inside the window {0, ..., (k-1)*M + k}
-    satisfies k < l_{t+1} and l_{t+k} < l_{t+1}^2, by direct enumeration.
-
-    Deliberately independent of the minimal-shift chooser: this re-derives
-    the window claim from scratch. The window is heuristic at small
-    parameters, so callers treat False as a data point, not an error.
-    """
-    if k < 2:
-        raise DomainError("k must be >= 2")
-    linnik = linnik or LinnikConfig()
-    if idx is None:
-        idx = APIndex(q, a, config or SieveConfig())
-    for t in range(linnik.window_cap(k) + 1):
-        first = idx.nth(t + 1)
-        if k < first and idx.nth(t + k) < first * first:
-            return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -93,13 +65,12 @@ def measure_b(
     k: int,
     *,
     idx: APIndex | None = None,
-    config: SieveConfig | None = None,
     linnik: LinnikConfig | None = None,
 ) -> BoundRow:
     linnik = linnik or LinnikConfig()
     cap = linnik.window_cap(k)
     try:
-        c = build(ConstructionParams(q=q, a=a, k=k), idx=idx, config=config)
+        c = build(ConstructionParams(q=q, a=a, k=k), idx=idx)
     except ShiuError as exc:
         return BoundRow(q=q, a=a, k=k, t=None, B=None, window_cap=cap,
                         t_in_window=None, error=str(exc))
@@ -117,13 +88,11 @@ def bound_table(
     *,
     a: int | None = None,
     linnik: LinnikConfig | None = None,
-    config: SieveConfig | None = None,
 ) -> list[BoundRow]:
     """Sweep the grid in lexicographic (q, a, k) order. With a=None every
     residue coprime to each q is measured. One progression index is shared
     across the k column so the sieve work is paid once per (q, a)."""
     linnik = linnik or LinnikConfig()
-    config = config or SieveConfig()
     qs = sorted(set(q_range))
     ks = sorted(set(k_range))
     if not qs or not ks:
@@ -140,7 +109,7 @@ def bound_table(
             pairs.append((q, res))
     rows = []
     for q, res in pairs:
-        idx = APIndex(q, res, config)
+        idx = APIndex(q, res)
         rows.extend(measure_b(q, res, k, idx=idx, linnik=linnik) for k in ks)
     return rows
 

@@ -16,20 +16,15 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
+from decimal import Decimal
 from math import gcd, prod
 
 from .errors import DomainError, InternalConsistencyError, ResourceError
 from .primality import classify_prime
-from .sieve import (
-    DEFAULT_SEGMENT_WIDTH,
-    APIndex,
-    SieveConfig,
-    least_prime_factors,
-    primes_up_to,
-)
+from .sieve import SEGMENT_WIDTH, APIndex, least_prime_factors, primes_up_to
 from .tuples import AdmissibilityReport, KTuple, LinearForm, is_admissible
 
-DEFAULT_SHIFT_CAP = 10**6
+SHIFT_CAP = 10**6  # largest shift choose_t tries before a ResourceError
 
 
 @dataclass(frozen=True)
@@ -98,39 +93,35 @@ class Construction:
         return self.g_value() * self.params.q
 
 
-def choose_t(idx: APIndex, k: int, shift_cap: int = DEFAULT_SHIFT_CAP) -> int:
+def choose_t(idx: APIndex, k: int) -> int:
     """Least t >= 0 with k < l_{t+1} and l_{t+k} < l_{t+1}^2.
 
     The second condition is not monotone in t, so shifts are tried in order.
-    Termination is an asymptotic fact about progression primes, hence the cap.
+    Termination is an asymptotic fact about progression primes, hence the
+    cap SHIFT_CAP.
     """
     if k < 2:
         raise DomainError("k must be >= 2")
-    for t in range(shift_cap + 1):
+    for t in range(SHIFT_CAP + 1):
         first = idx.nth(t + 1)
         if k < first and idx.nth(t + k) < first * first:
             return t
-    raise ResourceError(f"no admissible shift found with t <= {shift_cap}")
+    raise ResourceError(f"no admissible shift found with t <= {SHIFT_CAP}")
 
 
-def build(
-    params: ConstructionParams,
-    *,
-    idx: APIndex | None = None,
-    config: SieveConfig | None = None,
-    shift_cap: int = DEFAULT_SHIFT_CAP,
-) -> Construction:
+def build(params: ConstructionParams, *, idx: APIndex | None = None) -> Construction:
     """The construction with the least admissible shift. Offsets and
     g_factors are both read from one progression index: idx if given, which
-    must be for the progression of params, else a fresh one made with config.
-    g_factors are the slices of idx.primes between the offsets."""
+    must be for the progression of params, else a fresh one. g_factors are
+    the slices of idx.primes between the offsets. The sieve's height
+    ceiling and the shift cap raise ResourceError."""
     if idx is None:
-        idx = APIndex(params.q, params.a, config)
+        idx = APIndex(params.q, params.a)
     elif (idx.q, idx.a) != (params.q, params.residue):
         raise DomainError(
             f"index is for primes = {idx.a} mod {idx.q}, not {params.residue} mod {params.q}"
         )
-    t = choose_t(idx, params.k, shift_cap)
+    t = choose_t(idx, params.k)
     offsets = tuple(idx.nth(t + i) for i in range(1, params.k + 1))
     primes = idx.primes
     g_factors: list[int] = []
@@ -194,8 +185,8 @@ def verify_isolation(c: Construction) -> list[tuple[int, int]]:
     factors = set(c.g_factors) if c.g_factors and c.g_factors[0] > 1 else set()
     blocking: list[tuple[int, int]] = []
     stop = c.offsets[-1] + 1
-    for lo in range(c.offsets[0], stop, DEFAULT_SEGMENT_WIDTH):
-        hi = min(lo + DEFAULT_SEGMENT_WIDTH, stop)
+    for lo in range(c.offsets[0], stop, SEGMENT_WIDTH):
+        hi = min(lo + SEGMENT_WIDTH, stop)
         for h, p in enumerate(least_prime_factors(lo, hi).tolist(), lo):
             if h in chosen:
                 continue
@@ -259,13 +250,7 @@ def _scan_one(c: Construction, coeff: int, n: int) -> WindowReport:
     )
 
 
-def scan_windows(
-    c: Construction,
-    n_lo: int,
-    n_hi: int,
-    *,
-    max_value: int | None = None,
-) -> list[WindowReport]:
+def scan_windows(c: Construction, n_lo: int, n_hi: int) -> list[WindowReport]:
     """Decide the primality of every integer in each window for n in
     [n_lo, n_hi].
 
@@ -278,9 +263,6 @@ def scan_windows(
     if n_lo < 0 or n_hi < n_lo:
         raise DomainError("need 0 <= n_lo <= n_hi")
     coeff = c.coefficient()
-    top = coeff * n_hi + c.offsets[-1]
-    if max_value is not None and top > max_value:
-        raise ResourceError(f"window values reach {top}, over the cap {max_value}")
     return [_scan_one(c, coeff, n) for n in range(n_lo, n_hi + 1)]
 
 
@@ -296,8 +278,14 @@ def construction_to_dict(c: Construction, *, include_g: bool = False) -> dict:
     out["g_factors"] = list(c.g_factors)
     out["B"] = c.B
     if include_g:
-        out["g_decimal"] = str(c.g_value())
+        out["g_decimal"] = _decimal(c.g_value())
     return out
+
+
+def _decimal(n: int) -> str:
+    # str(int) refuses more than sys.get_int_max_str_digits() digits; a
+    # Decimal built from an int is exact and prints in full
+    return str(Decimal(n))
 
 
 def construction_to_json(c: Construction, *, include_g: bool = False) -> str:
@@ -330,23 +318,18 @@ def construction_from_dict(data: dict) -> Construction:
     )
     g_decimal = data.get("g_decimal")
     if g_decimal is not None:
-        if not isinstance(g_decimal, str):
+        if not (isinstance(g_decimal, str) and g_decimal.isascii() and g_decimal.isdigit()):
             raise DomainError("certificate field g_decimal must be a decimal string")
-        if int(g_decimal) != c.g_value():
+        if g_decimal != _decimal(c.g_value()):
             raise DomainError("g_decimal does not match the product of g_factors")
     return c
 
 
-def reverify(
-    data: dict,
-    *,
-    config: SieveConfig | None = None,
-    shift_cap: int = DEFAULT_SHIFT_CAP,
-) -> Construction:
+def reverify(data: dict) -> Construction:
     """Re-derive every certificate field from (q, a, k) and demand an exact
     match, then re-run the admissibility and isolation checks."""
     claimed = construction_from_dict(data)
-    rebuilt = build(claimed.params, config=config, shift_cap=shift_cap)
+    rebuilt = build(claimed.params)
     rebuilt_dict = construction_to_dict(rebuilt, include_g="g_decimal" in data)
     mismatched = [key for key in rebuilt_dict
                   if key not in data or data[key] != rebuilt_dict[key]]

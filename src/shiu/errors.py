@@ -20,7 +20,8 @@ class NotFoundError(DomainError):
 
 
 class ResourceError(ShiuError):
-    """A configured budget (height ceiling, shift cap, memory) was exceeded."""
+    """A resource limit was exceeded: the height ceiling, the shift cap, or
+    the memory budget set by SHIU_SIEVE_BUDGET_MB."""
 
 
 class InternalConsistencyError(ShiuError):

@@ -16,7 +16,7 @@ from statistics import mean, median
 from typing import Iterable, Iterator
 
 from .errors import DomainError, NotFoundError
-from .sieve import SieveConfig, iter_primes
+from .sieve import iter_primes
 
 DEFAULT_HEIGHT_CAP = 10**8
 
@@ -69,7 +69,6 @@ def all_strings(
     *,
     cap: int = DEFAULT_HEIGHT_CAP,
     maximal_only: bool = False,
-    config: SieveConfig | None = None,
 ) -> Iterator[ShiuString]:
     """Yield strings of length >= m with every member below cap.
 
@@ -87,13 +86,12 @@ def all_strings(
         raise DomainError("q must be >= 3")
     if gcd(a, q) != 1:
         raise DomainError("gcd(a,q) != 1")
-    config = config or SieveConfig()
     res = a % q
 
     run: list[int] = []
     run_start_index = 0
     count = 0
-    for p in iter_primes(2, cap, config):
+    for p in iter_primes(2, cap):
         count += 1
         if p % q == res:
             if not run:
@@ -120,49 +118,35 @@ def all_strings(
                          primes=primes, diameter=primes[-1] - primes[0])
 
 
-def first_string(
-    q: int,
-    a: int,
-    m: int,
-    *,
-    cap: int = DEFAULT_HEIGHT_CAP,
-    config: SieveConfig | None = None,
-) -> ShiuString:
+def first_string(q: int, a: int, m: int, *, cap: int = DEFAULT_HEIGHT_CAP) -> ShiuString:
     """The earliest length-m string, or NotFoundError if none lives below
     cap."""
-    for s in all_strings(q, a, m, cap=cap, config=config):
+    for s in all_strings(q, a, m, cap=cap):
         return s
     raise NotFoundError(
         f"no string of {m} consecutive primes congruent to {a} mod {q} below {cap}"
     )
 
 
-def verify_string(
-    s: ShiuString,
-    *,
-    config: SieveConfig | None = None,
-    check_index: bool = True,
-) -> bool:
+def verify_string(s: ShiuString) -> bool:
     """Recheck a claimed string against a fresh sieve.
 
     The span between the first and last member is re-sieved and must contain
     exactly the claimed primes, which pins down consecutiveness; residues and
-    the diameter are rechecked by arithmetic, and with check_index the count
-    of primes below the first member is recomputed from scratch.
+    the diameter are rechecked by arithmetic, and the count of primes below
+    the first member is recomputed from scratch.
     """
-    config = config or SieveConfig()
-    span = tuple(iter_primes(s.primes[0], s.primes[-1] + 1, config))
+    span = tuple(iter_primes(s.primes[0], s.primes[-1] + 1))
     if span != s.primes:
         raise DomainError(
             f"span re-sieve found {len(span)} primes where the string claims {s.m}"
         )
-    if check_index:
-        below = sum(1 for _ in iter_primes(2, s.primes[0], config))
-        if below != s.start_index:
-            raise DomainError(
-                f"start_index is {s.start_index} but {below} primes precede "
-                f"{s.primes[0]}"
-            )
+    below = sum(1 for _ in iter_primes(2, s.primes[0]))
+    if below != s.start_index:
+        raise DomainError(
+            f"start_index is {s.start_index} but {below} primes precede "
+            f"{s.primes[0]}"
+        )
     return True
 
 

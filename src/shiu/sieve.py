@@ -2,16 +2,17 @@
 
 Everything downstream sits on this module: plain prime enumeration up to a
 height, and the lazily extended 1-based index into the primes congruent to
-a fixed residue a modulo q. Heights are bounded by a hard ceiling so that
-searches whose termination is only guaranteed asymptotically fail cleanly
-instead of running away.
+a fixed residue a modulo q. Heights are bounded by the HEIGHT_CEILING
+constant so that searches whose termination is only guaranteed
+asymptotically fail cleanly instead of running away, and each large
+allocation is checked against the memory budget in SHIU_SIEVE_BUDGET_MB.
+Neither limit, nor the segment width, changes any result.
 """
 
 from __future__ import annotations
 
 import os
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import compress
 from math import gcd, isqrt, log
 from typing import Iterator
@@ -20,54 +21,29 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 
-DEFAULT_SEGMENT_WIDTH = 1 << 16
-DEFAULT_HEIGHT_CEILING = 1 << 40
+SEGMENT_WIDTH = 1 << 16  # numbers sieved per segment; results never depend on it
+HEIGHT_CEILING = 1 << 40  # hard upper bound on any number examined
 
 
-def _env_budget_bytes() -> int | None:
+def _check_allocation(nbytes: int) -> None:
+    """Refuse an allocation of nbytes over the SHIU_SIEVE_BUDGET_MB budget,
+    if that variable is set. It is read on every call."""
     raw = os.environ.get("SHIU_SIEVE_BUDGET_MB")
     if raw is None:
-        return None
+        return
     try:
         mb = int(raw)
     except ValueError as exc:
         raise DomainError(f"SHIU_SIEVE_BUDGET_MB must be an integer, got {raw!r}") from exc
     if mb <= 0:
         raise DomainError("SHIU_SIEVE_BUDGET_MB must be positive")
-    return mb << 20
+    if nbytes > mb << 20:
+        raise ResourceError(f"sieve needs {nbytes} bytes, over the {mb << 20} byte budget")
 
 
-@dataclass(frozen=True)
-class SieveConfig:
-    """Knobs for all sieving work.
-
-    segment_width: cap on the numbers sieved per segment; results never
-        depend on it. It is not a minimum: APIndex grows by doubling its
-        height and sieves only as far as that.
-    height_ceiling: hard upper bound on any number examined.
-    budget_bytes: memory cap per allocation (defaults to SHIU_SIEVE_BUDGET_MB).
-    """
-
-    segment_width: int = DEFAULT_SEGMENT_WIDTH
-    height_ceiling: int = DEFAULT_HEIGHT_CEILING
-    budget_bytes: int | None = field(default_factory=_env_budget_bytes)
-
-    def __post_init__(self):
-        if self.segment_width < 8:
-            raise DomainError("segment_width must be at least 8")
-        if self.height_ceiling < 4:
-            raise DomainError("height_ceiling must be at least 4")
-
-    def effective_width(self) -> int:
-        if self.budget_bytes is not None and self.budget_bytes < self.segment_width:
-            return max(8, self.budget_bytes)
-        return self.segment_width
-
-    def check_allocation(self, nbytes: int) -> None:
-        if self.budget_bytes is not None and nbytes > self.budget_bytes:
-            raise ResourceError(
-                f"sieve needs {nbytes} bytes, over the {self.budget_bytes} byte budget"
-            )
+def _check_height(y: int) -> None:
+    if y > HEIGHT_CEILING:
+        raise ResourceError(f"height {y} exceeds the ceiling {HEIGHT_CEILING}")
 
 
 def _simple_flags(n: int) -> bytearray:
@@ -120,25 +96,23 @@ def least_prime_factors(lo: int, hi: int) -> np.ndarray:
     return least
 
 
-def iter_prime_arrays(lo: int, hi: int, config: SieveConfig | None = None) -> Iterator[np.ndarray]:
+def iter_prime_arrays(lo: int, hi: int) -> Iterator[np.ndarray]:
     """Yield the primes in [lo, hi) as ascending int64 arrays, one per
     segment. Each array is freshly allocated, so callers may keep or
     filter it without copying."""
-    config = config or SieveConfig()
-    if hi > config.height_ceiling + 1:
+    if hi > HEIGHT_CEILING + 1:
         raise ResourceError(
-            f"requested height {hi - 1} exceeds the ceiling {config.height_ceiling}"
+            f"requested height {hi - 1} exceeds the ceiling {HEIGHT_CEILING}"
         )
     lo = max(lo, 2)
     if hi <= lo:
         return
     base_limit = isqrt(hi - 1)
-    config.check_allocation(base_limit + 1)
+    _check_allocation(base_limit + 1)
     base = _base_primes(base_limit)
-    width = config.effective_width()
     seg_lo = lo
     while seg_lo < hi:
-        seg_hi = min(seg_lo + width, hi)
+        seg_hi = min(seg_lo + SEGMENT_WIDTH, hi)
         flags = _segment_flags(seg_lo, seg_hi, base)
         primes = np.flatnonzero(np.frombuffer(flags, dtype=np.uint8)).astype(np.int64, copy=False)
         primes += seg_lo
@@ -146,9 +120,9 @@ def iter_prime_arrays(lo: int, hi: int, config: SieveConfig | None = None) -> It
         seg_lo = seg_hi
 
 
-def iter_primes(lo: int, hi: int, config: SieveConfig | None = None) -> Iterator[int]:
+def iter_primes(lo: int, hi: int) -> Iterator[int]:
     """Yield the primes in [lo, hi) in increasing order, as Python ints."""
-    for primes in iter_prime_arrays(lo, hi, config):
+    for primes in iter_prime_arrays(lo, hi):
         yield from primes.tolist()
 
 
@@ -159,20 +133,16 @@ def _prime_list_bytes(y: int) -> int:
     return int(1.3 * y / log(y)) * 40
 
 
-def primes_up_to(y: int, config: SieveConfig | None = None) -> list[int]:
-    """All primes in [2, y], ascending. Unlike iter_primes this materializes
-    the whole list, so the memory budget is checked against an upper estimate
-    of its size."""
+def primes_up_to(y: int) -> list[int]:
+    """All primes in [2, y], ascending, from one unsegmented sieve. Unlike
+    iter_primes this materializes the whole list, so the memory budget is
+    checked against an upper estimate of its size; that estimate also
+    exceeds the sieve's one byte per number."""
     if y < 0:
         raise DomainError("upper bound must be nonnegative")
-    config = config or SieveConfig()
-    if y > config.height_ceiling:
-        raise ResourceError(f"height {y} exceeds the ceiling {config.height_ceiling}")
-    config.check_allocation(_prime_list_bytes(y))
-    out: list[int] = []
-    for primes in iter_prime_arrays(2, y + 1, config):
-        out.extend(primes.tolist())
-    return out
+    _check_height(y)
+    _check_allocation(_prime_list_bytes(y))
+    return _base_primes(y)
 
 
 class APIndex:
@@ -185,19 +155,19 @@ class APIndex:
     more than about twice the height its largest answer needs. `primes`
     keeps every prime sieved, so build reads its offsets and coefficient
     factors from one sieve; the memory budget is charged for that list.
+    Heights above HEIGHT_CEILING are refused with ResourceError.
     Consecutive entries differ by a positive multiple of q, so the (k+1)-st
     entry always exceeds q*k. Mutation is not thread-safe; queries on an
     index that is no longer extending are.
     """
 
-    def __init__(self, q: int, a: int, config: SieveConfig | None = None):
+    def __init__(self, q: int, a: int):
         if q < 3:
             raise DomainError("q must be >= 3")
         if gcd(a, q) != 1:
             raise DomainError("gcd(a,q) != 1")
         self.q = q
         self.a = a % q
-        self._config = config or SieveConfig()
         self.primes: list[int] = []
         self._members: list[int] = []
         self._height = 2  # everything below this has been scanned
@@ -212,33 +182,25 @@ class APIndex:
     def extend_to(self, height: int) -> None:
         if height <= self._height:
             return
-        if height > self._config.height_ceiling + 1:
-            raise ResourceError(
-                f"height {height - 1} exceeds the ceiling {self._config.height_ceiling}"
-            )
-        self._config.check_allocation(_prime_list_bytes(height))
+        _check_height(height - 1)
+        _check_allocation(_prime_list_bytes(height))
         q, a = self.q, self.a
-        for primes in iter_prime_arrays(self._height, height, self._config):
+        for primes in iter_prime_arrays(self._height, height):
             self.primes.extend(primes.tolist())
             self._members.extend(primes[primes % q == a].tolist())
         self._height = height
 
     def _extend(self) -> None:
-        ceiling = self._config.height_ceiling
-        if self._height >= ceiling + 1:
+        if self._height >= HEIGHT_CEILING + 1:
             raise ResourceError(
                 f"only {len(self._members)} primes = {self.a} mod {self.q} "
-                f"below the ceiling {ceiling}"
+                f"below the ceiling {HEIGHT_CEILING}"
             )
         target = max(self._height * 2, 8 * self.q)
-        self.extend_to(min(target, ceiling + 1))
+        self.extend_to(min(target, HEIGHT_CEILING + 1))
 
     def count_up_to(self, y: int) -> int:
         """Number of progression primes <= y."""
         if y >= self._height:
-            if y > self._config.height_ceiling:
-                raise ResourceError(
-                    f"height {y} exceeds the ceiling {self._config.height_ceiling}"
-                )
             self.extend_to(y + 1)
         return bisect_right(self._members, y)

@@ -17,6 +17,8 @@ from .errors import DomainError, ResourceError
 from .primality import classify_prime
 from .sieve import primes_up_to
 
+TRIAL_LIMIT = 10**6  # largest trial divisor tried when factoring a gcd(g, h)
+
 
 @dataclass(frozen=True)
 class LinearForm:
@@ -86,7 +88,7 @@ def residue_coverage(t: KTuple, p: int) -> set[int]:
     return covered
 
 
-def _prime_factors_of(d: int, trial_limit: int = 10**6) -> set[int]:
+def _prime_factors_of(d: int) -> set[int]:
     """Distinct prime factors by trial division, with a primality test
     mopping up the cofactor. Composite cofactors past the trial bound are a
     resource error, not a wrong answer."""
@@ -95,7 +97,7 @@ def _prime_factors_of(d: int, trial_limit: int = 10**6) -> set[int]:
         out.add(2)
         d //= 2
     f = 3
-    while f * f <= d and f <= trial_limit:
+    while f * f <= d and f <= TRIAL_LIMIT:
         while d % f == 0:
             out.add(f)
             d //= f
@@ -105,7 +107,7 @@ def _prime_factors_of(d: int, trial_limit: int = 10**6) -> set[int]:
             out.add(d)
         else:
             raise ResourceError(
-                f"cannot factor {d} within trial bound {trial_limit}"
+                f"cannot factor {d} within trial bound {TRIAL_LIMIT}"
             )
     return out
 

@@ -14,7 +14,7 @@ from time import perf_counter
 import pytest
 import sympy
 
-from shiu.bounds import LinnikConfig, bound_table, verify_t_window
+from shiu.bounds import LinnikConfig, bound_table
 from shiu.construction import (
     ConstructionParams,
     build,
@@ -30,7 +30,12 @@ from shiu.search import first_string, verify_string
 from shiu.sieve import APIndex
 from shiu.tuples import is_admissible, make_tuple
 
-from ._oracles import admissible_oracle, first_string_oracle, simple_sieve
+from ._oracles import (
+    admissible_oracle,
+    choose_t_oracle,
+    first_string_oracle,
+    simple_sieve,
+)
 
 GRID_Q = range(3, 31)
 GRID_K = range(2, 13)
@@ -166,10 +171,6 @@ def test_6_found_strings_survive_reverification(announce):
 def test_7_shift_windows_and_bound_table(announce):
     with announce("7/8 shift windows and bound table"):
         linnik = LinnikConfig(L=5.0)
-        for q, a in grid_columns():
-            idx = APIndex(q, a)
-            for k in GRID_K:
-                assert verify_t_window(q, a, k, linnik, idx=idx)
         rows = bound_table(GRID_Q, GRID_K, linnik=linnik)
         again = bound_table(GRID_Q, GRID_K, linnik=linnik)
         assert rows == again
@@ -177,6 +178,10 @@ def test_7_shift_windows_and_bound_table(announce):
             assert row.error is None
             assert row.B > 0
             assert row.B % row.q == 0
+            # every shift on this grid lies in its window, so the oracle
+            # searches only that far and fails the test if it finds none
+            cap = linnik.window_cap(row.k)
+            assert row.t_in_window == (choose_t_oracle(row.q, row.a, row.k, t_max=cap) <= cap)
 
 
 def test_8_certificates_round_trip_byte_exact(announce):

@@ -5,6 +5,7 @@ from math import isclose, log
 
 import pytest
 
+import shiu.sieve as sieve
 from shiu.bounds import (
     BoundRow,
     CSV_HEADER,
@@ -14,10 +15,11 @@ from shiu.bounds import (
     rows_to_csv,
     rows_to_json,
     scaling_fit,
-    verify_t_window,
 )
 from shiu.errors import DomainError
-from shiu.sieve import APIndex, SieveConfig
+from shiu.sieve import APIndex
+
+from ._oracles import choose_t_oracle
 
 
 def test_linnik_window_arithmetic():
@@ -39,8 +41,9 @@ def test_measure_b_worked_examples():
     assert (row.t, row.B, row.t_in_window) == (2, 30, True)
 
 
-def test_measure_b_materializes_failures():
-    row = measure_b(3, 1, 5, config=SieveConfig(height_ceiling=8))
+def test_measure_b_materializes_failures(monkeypatch):
+    monkeypatch.setattr(sieve, "HEIGHT_CEILING", 8)
+    row = measure_b(3, 1, 5)
     assert row.error is not None
     assert row.t is None and row.B is None
     assert row.q == 3 and row.window_cap == 25
@@ -86,15 +89,10 @@ def test_bound_table_input_validation():
         bound_table([4], [2], a=2)
 
 
-def test_verify_t_window_examples():
-    assert verify_t_window(3, 1, 5)
-    assert verify_t_window(3, 2, 5)
-
-
 def test_rows_with_in_window_t_imply_window_check():
     for row in bound_table(range(3, 8), range(2, 5)):
-        if row.t_in_window:
-            assert verify_t_window(row.q, row.a, row.k)
+        want = choose_t_oracle(row.q, row.a, row.k) <= row.window_cap
+        assert row.t_in_window == want
 
 
 class TestScalingFit:
@@ -144,8 +142,9 @@ class TestSerialization:
         assert lines[0] == "q,a,k,t,B,window_cap,t_in_window"
         assert lines[1] == "3,1,5,0,30,25,true"
 
-    def test_csv_error_rows_have_blank_measurements(self):
-        row = measure_b(3, 1, 5, config=SieveConfig(height_ceiling=8))
+    def test_csv_error_rows_have_blank_measurements(self, monkeypatch):
+        monkeypatch.setattr(sieve, "HEIGHT_CEILING", 8)
+        row = measure_b(3, 1, 5)
         lines = rows_to_csv([row]).splitlines()
         assert lines[1] == "3,1,5,,,25,"
 

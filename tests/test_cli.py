@@ -150,6 +150,33 @@ class TestVerify:
         assert err.startswith("error: domain:")
         assert "unknown fields" in err
 
+    def test_coefficient_past_the_int_str_digit_limit(self, capsys, tmp_path):
+        # g for (997, 1, 3) has 12,021 digits, more than str(int) and
+        # int(str) accept by default
+        path = tmp_path / "big.json"
+        code, _, err = run(capsys, "construct", "--q", "997", "--a", "1",
+                           "--k", "3", "--with-g", "--output", str(path))
+        assert code == 0 and err == ""
+        assert len(json.loads(path.read_text())["g_decimal"]) == 12021
+        code, out, err = run(capsys, "verify", "--cert", str(path),
+                             "--format", "json")
+        assert code == 0 and err == ""
+        assert out == path.read_text()
+
+    @pytest.mark.parametrize("g_decimal", [
+        "abc", "", 3741870, "-3741870", " 3741870", "3_741_870",
+        "٣٧٤١٨٧٠", "03741870", "3741871",
+        "9" * 5000,
+    ], ids=["letters", "empty", "number", "sign", "space", "underscores",
+            "non-ascii-digits", "leading-zero", "wrong", "5000-digits"])
+    def test_bad_g_decimal_rejected(self, capsys, tmp_path, g_decimal):
+        path = self.make_cert(capsys, tmp_path, "--with-g")
+        data = json.loads(path.read_text())
+        path.write_text(json.dumps({**data, "g_decimal": g_decimal}))
+        code, out, err = run(capsys, "verify", "--cert", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: domain:")
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -21,8 +21,9 @@ from shiu.construction import (
     window_report_to_dict,
     window_reports_to_jsonl,
 )
+import shiu.sieve as sieve
 from shiu.errors import DomainError, InternalConsistencyError, ResourceError
-from shiu.sieve import APIndex, SieveConfig
+from shiu.sieve import APIndex
 from shiu.tuples import AdmissibilityReport
 
 from ._oracles import blocking_oracle, choose_t_oracle, trial_primes, window_oracle
@@ -64,12 +65,14 @@ def test_choose_t_matches_enumeration_oracle(q, a, k):
     assert choose_t(APIndex(q, a), k) == choose_t_oracle(q, a, k, t_max=50)
 
 
-def test_choose_t_cap_is_a_resource_error():
+def test_choose_t_cap_is_a_resource_error(monkeypatch):
     # (3, 2, 5) needs t = 2, so a cap of 1 is not enough
+    monkeypatch.setattr(construction, "SHIFT_CAP", 1)
     with pytest.raises(ResourceError):
-        choose_t(APIndex(3, 2), 5, shift_cap=1)
+        choose_t(APIndex(3, 2), 5)
     # t = 0 genuinely works here, so cap 0 still succeeds
-    assert choose_t(APIndex(3, 1), 5, shift_cap=0) == 0
+    monkeypatch.setattr(construction, "SHIFT_CAP", 0)
+    assert choose_t(APIndex(3, 1), 5) == 0
 
 
 def test_build_worked_example():
@@ -219,7 +222,7 @@ def test_verify_isolation_matches_linear_scan(q, a, k):
 def test_verify_isolation_is_independent_of_chunk_width(monkeypatch):
     c = build(ConstructionParams(q=29, a=1, k=12))
     want = verify_isolation(c)
-    monkeypatch.setattr(construction, "DEFAULT_SEGMENT_WIDTH", 7)
+    monkeypatch.setattr(construction, "SEGMENT_WIDTH", 7)
     assert verify_isolation(c) == want == blocking_oracle(c.offsets, c.g_factors)
 
 
@@ -277,10 +280,6 @@ class TestScanWindows:
         for r in (r1, r2, r3):
             assert r.congruence_ok and r.isolation_ok and r.primality_proven
             assert not r.degenerate
-
-    def test_value_cap(self):
-        with pytest.raises(ResourceError):
-            scan_windows(self.c, 1, 10, max_value=10**6)
 
     def test_jsonl_shape(self):
         lines = window_reports_to_jsonl(scan_windows(self.c, 1, 2)).splitlines()
@@ -426,7 +425,7 @@ def test_b_is_positive_multiple_of_q_across_a_sample():
             assert c.offsets[-1] < c.offsets[0] ** 2
 
 
-def test_build_respects_sieve_ceiling():
-    cfg = SieveConfig(height_ceiling=8)
+def test_build_respects_sieve_ceiling(monkeypatch):
+    monkeypatch.setattr(sieve, "HEIGHT_CEILING", 8)
     with pytest.raises(ResourceError):
-        build(ConstructionParams(q=3, a=1, k=5), config=cfg)
+        build(ConstructionParams(q=3, a=1, k=5))

@@ -143,7 +143,6 @@ def test_verify_string_accepts_real_and_rejects_fake():
     shifted = ShiuString(q=3, a=1, start_index=9, primes=(31, 37), diameter=6)
     with pytest.raises(DomainError, match="start_index"):
         verify_string(shifted)
-    assert verify_string(shifted, check_index=False)
 
 
 class TestDiameterStats:

@@ -7,7 +7,6 @@ import shiu.sieve as sieve
 from shiu.errors import DomainError, ResourceError
 from shiu.sieve import (
     APIndex,
-    SieveConfig,
     iter_primes,
     least_prime_factors,
     primes_up_to,
@@ -39,9 +38,9 @@ def test_window_matches_sympy_near_a_million():
 
 
 @pytest.mark.parametrize("width", [2**10, 2**16, 2**20])
-def test_segment_boundary_independence(width):
-    cfg = SieveConfig(segment_width=width)
-    assert primes_up_to(10**5, cfg) == primes_up_to(10**5)
+def test_segment_boundary_independence(monkeypatch, width):
+    monkeypatch.setattr(sieve, "SEGMENT_WIDTH", width)
+    assert list(iter_primes(2, 10**5 + 1)) == primes_up_to(10**5)
 
 
 def test_iter_primes_empty_and_reversed_ranges():
@@ -50,30 +49,32 @@ def test_iter_primes_empty_and_reversed_ranges():
     assert list(iter_primes(0, 3)) == [2]
 
 
-def test_height_ceiling_is_enforced():
-    cfg = SieveConfig(height_ceiling=1000)
+def test_height_ceiling_is_enforced(monkeypatch):
+    monkeypatch.setattr(sieve, "HEIGHT_CEILING", 1000)
     with pytest.raises(ResourceError):
-        list(iter_primes(2, 2000, cfg))
+        list(iter_primes(2, 2000))
     with pytest.raises(ResourceError):
-        primes_up_to(1001, cfg)
-    assert primes_up_to(1000, cfg)[-1] == 997
+        primes_up_to(1001)
+    assert primes_up_to(1000)[-1] == 997
 
 
-def test_budget_blocks_large_materialization():
-    cfg = SieveConfig(budget_bytes=100)
+def test_budget_blocks_large_materialization(monkeypatch):
+    monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "1")
     with pytest.raises(ResourceError):
-        primes_up_to(10**6, cfg)
+        primes_up_to(10**6)
 
 
 def test_env_budget_validation(monkeypatch):
     monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "not-a-number")
     with pytest.raises(DomainError):
-        SieveConfig()
+        primes_up_to(10)
     monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "0")
     with pytest.raises(DomainError):
-        SieveConfig()
+        primes_up_to(10)
     monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "64")
-    assert SieveConfig().budget_bytes == 64 << 20
+    sieve._check_allocation(64 << 20)
+    with pytest.raises(ResourceError):
+        sieve._check_allocation((64 << 20) + 1)
 
 
 class TestAPIndex:
@@ -127,9 +128,9 @@ class TestAPIndex:
         heights = []
         real = sieve.iter_prime_arrays
 
-        def recording(lo, hi, config=None):
+        def recording(lo, hi):
             heights.append(hi)
-            return real(lo, hi, config)
+            return real(lo, hi)
 
         monkeypatch.setattr(sieve, "iter_prime_arrays", recording)
         idx = APIndex(3, 1)
@@ -142,22 +143,24 @@ class TestAPIndex:
            st.sampled_from([8, 64, 1 << 16]))
     def test_answers_do_not_depend_on_segment_width(self, qa, n, width):
         q, a = qa
-        idx = APIndex(q, a, SieveConfig(segment_width=width))
         want = ap_primes_oracle(q, a, n)
-        assert [idx.nth(i) for i in range(1, n + 1)] == want
-        assert idx.count_up_to(want[-1]) == n
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieve, "SEGMENT_WIDTH", width)
+            idx = APIndex(q, a)
+            assert [idx.nth(i) for i in range(1, n + 1)] == want
+            assert idx.count_up_to(want[-1]) == n
 
-    def test_ceiling_error(self):
-        idx = APIndex(9973, 1, SieveConfig(height_ceiling=5000))
+    def test_ceiling_error(self, monkeypatch):
+        monkeypatch.setattr(sieve, "HEIGHT_CEILING", 5000)
         with pytest.raises(ResourceError):
-            idx.nth(1)
+            APIndex(9973, 1).nth(1)
 
-    def test_budget_covers_the_kept_prime_list(self):
+    def test_budget_covers_the_kept_prime_list(self, monkeypatch):
         # the first extension reaches 8*q = 800024, whose prime list is
         # estimated at about 3 MiB; the sieve segments alone fit in 1 MiB
-        idx = APIndex(100003, 1, SieveConfig(budget_bytes=1 << 20))
+        monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "1")
         with pytest.raises(ResourceError):
-            idx.nth(1)
+            APIndex(100003, 1).nth(1)
 
     @pytest.mark.parametrize("q,a", [(3, 1), (4, 3), (29, 1)])
     def test_keeps_every_prime_below_its_height(self, q, a):
