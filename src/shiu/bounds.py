@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from math import ceil, gcd, log
 from typing import NamedTuple
 
-import numpy as np
-
 from .construction import ConstructionParams, build
 from .errors import DomainError, ShiuError
 from .sieve import APIndex
@@ -127,6 +125,8 @@ def scaling_fit(rows: list[BoundRow]) -> ScalingFit:
     measured successfully. A column with no variation (all q equal, or all k
     equal) is dropped from the design and its exponent reported as 0; with
     both constant there is nothing to fit."""
+    import numpy as np  # only here, so that no other command pays for it
+
     good = [r for r in rows if r.B is not None and r.B > 0]
     if len(good) < 2:
         raise DomainError("need at least two successful rows to fit")

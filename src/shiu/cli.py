@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .bounds import LinnikConfig, bound_table, rows_to_csv, rows_to_json
 from .construction import (
@@ -113,11 +114,19 @@ def _build_parser() -> _Parser:
     return top
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, out: str | Iterable[str]) -> None:
+    """Write a handler's text, or its lines as they are produced. The first
+    line is taken before anything is written, so an input or resource error
+    a stream raises on start leaves stdout empty and creates no file."""
+    chunks = iter((out,) if isinstance(out, str) else out)
+    first = next(chunks, "")
     if args.output:
-        Path(args.output).write_text(text)
+        with open(args.output, "w") as f:
+            f.write(first)
+            f.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(first)
+        sys.stdout.writelines(chunks)
 
 
 def _pick(args, default: str, allowed: tuple[str, ...]) -> str:
@@ -194,7 +203,7 @@ def _cmd_bounds(args) -> str:
     return rows_to_csv(rows)
 
 
-def _cmd_search(args) -> str:
+def _cmd_search(args) -> str | Iterable[str]:
     if not args.emit_all:
         s = first_string(args.q, args.a, args.m, cap=args.cap)
         fmt = _pick(args, "json", ("json", "text"))

@@ -187,7 +187,7 @@ def verify_isolation(c: Construction) -> list[tuple[int, int]]:
     stop = c.offsets[-1] + 1
     for lo in range(c.offsets[0], stop, SEGMENT_WIDTH):
         hi = min(lo + SEGMENT_WIDTH, stop)
-        for h, p in enumerate(least_prime_factors(lo, hi).tolist(), lo):
+        for h, p in enumerate(least_prime_factors(lo, hi), lo):
             if h in chosen:
                 continue
             if p not in factors or h % p:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 from statistics import mean, median
 from typing import Iterable, Iterator
 
 from .errors import DomainError, NotFoundError
-from .sieve import iter_primes
+from .sieve import _segments, iter_primes
 
 DEFAULT_HEIGHT_CAP = 10**8
 
@@ -134,14 +135,18 @@ def verify_string(s: ShiuString) -> bool:
     The span between the first and last member is re-sieved and must contain
     exactly the claimed primes, which pins down consecutiveness; residues and
     the diameter are rechecked by arithmetic, and the count of primes below
-    the first member is recomputed from scratch.
+    the first member is recomputed from scratch by counting sieve flags.
     """
-    span = tuple(iter_primes(s.primes[0], s.primes[-1] + 1))
+    span = tuple(
+        p
+        for seg_lo, flags in _segments(s.primes[0], s.primes[-1] + 1)
+        for p in compress(range(seg_lo, seg_lo + len(flags)), flags)
+    )
     if span != s.primes:
         raise DomainError(
             f"span re-sieve found {len(span)} primes where the string claims {s.m}"
         )
-    below = sum(1 for _ in iter_primes(2, s.primes[0]))
+    below = sum(flags.count(1) for _, flags in _segments(2, s.primes[0]))
     if below != s.start_index:
         raise DomainError(
             f"start_index is {s.start_index} but {below} primes precede "
@@ -218,8 +223,10 @@ def string_to_dict(s: ShiuString) -> dict:
     }
 
 
-def strings_to_jsonl(strings: Iterable[ShiuString]) -> str:
-    return "".join(json.dumps(string_to_dict(s)) + "\n" for s in strings)
+def strings_to_jsonl(strings: Iterable[ShiuString]) -> Iterator[str]:
+    """One JSON line per string, produced as the strings arrive."""
+    for s in strings:
+        yield json.dumps(string_to_dict(s)) + "\n"
 
 
 def stats_to_csv(stats: DiameterStats) -> str:

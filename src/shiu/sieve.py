@@ -2,10 +2,15 @@
 
 Everything downstream sits on this module: plain prime enumeration up to a
 height, and the lazily extended 1-based index into the primes congruent to
-a fixed residue a modulo q. Heights are bounded by the HEIGHT_CEILING
-constant so that searches whose termination is only guaranteed
-asymptotically fail cleanly instead of running away, and each large
-allocation is checked against the memory budget in SHIU_SIEVE_BUDGET_MB.
+a fixed residue a modulo q. One private generator hands out each segment as
+its start and a bytearray of primality flags; each consumer takes from the
+flags only what it needs, with itertools.compress and strided slices. numpy
+is imported only by iter_primes, the bulk stream, where extracting primes
+from flags is several times faster with it. Heights are bounded by the
+HEIGHT_CEILING constant so that searches whose termination is only
+guaranteed asymptotically fail cleanly instead of running away, and each
+large allocation is checked against the memory budget in
+SHIU_SIEVE_BUDGET_MB, or against physical memory when that is unset.
 Neither limit, nor the segment width, changes any result.
 """
 
@@ -17,19 +22,32 @@ from itertools import compress
 from math import gcd, isqrt, log
 from typing import Iterator
 
-import numpy as np
-
 from .errors import DomainError, ResourceError
 
 SEGMENT_WIDTH = 1 << 16  # numbers sieved per segment; results never depend on it
 HEIGHT_CEILING = 1 << 40  # hard upper bound on any number examined
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where sysconf cannot tell."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * size if pages > 0 and size > 0 else None
+
+
 def _check_allocation(nbytes: int) -> None:
     """Refuse an allocation of nbytes over the SHIU_SIEVE_BUDGET_MB budget,
-    if that variable is set. It is read on every call."""
+    which is read on every call; without it, refuse one larger than
+    physical memory, which could only end in swapping or the OOM killer."""
     raw = os.environ.get("SHIU_SIEVE_BUDGET_MB")
     if raw is None:
+        limit = _physical_memory()
+        if limit is not None and nbytes > limit:
+            raise ResourceError(
+                f"sieve needs {nbytes} bytes, over the {limit} bytes of physical memory"
+            )
         return
     try:
         mb = int(raw)
@@ -81,25 +99,24 @@ def _segment_flags(lo: int, hi: int, base: list[int]) -> bytearray:
     return flags
 
 
-def least_prime_factors(lo: int, hi: int) -> np.ndarray:
-    """Least prime factor of each integer in [lo, hi) as an int64 array, a
-    prime being its own. Requires lo >= 2; memory is 8 bytes per integer."""
+def least_prime_factors(lo: int, hi: int) -> list[int]:
+    """Least prime factor of each integer in [lo, hi), a prime being its
+    own. Requires lo >= 2; the list holds one int object per integer."""
     if lo < 2:
         raise DomainError("least prime factors need lo >= 2")
-    least = np.arange(lo, max(lo, hi), dtype=np.int64)
+    least = list(range(lo, hi))
     if hi <= lo:
         return least
     # larger primes first, so the smallest divisor is written last
     for p in reversed(_base_primes(isqrt(hi - 1))):
         start = max(p * p, -(-lo // p) * p)
-        least[start - lo::p] = p
+        least[start - lo::p] = [p] * len(range(start, hi, p))
     return least
 
 
-def iter_prime_arrays(lo: int, hi: int) -> Iterator[np.ndarray]:
-    """Yield the primes in [lo, hi) as ascending int64 arrays, one per
-    segment. Each array is freshly allocated, so callers may keep or
-    filter it without copying."""
+def _segments(lo: int, hi: int) -> Iterator[tuple[int, bytearray]]:
+    """Yield (seg_lo, flags) for consecutive segments covering [max(lo, 2),
+    hi): flags[i] is 1 iff seg_lo + i is prime. Each bytearray is fresh."""
     if hi > HEIGHT_CEILING + 1:
         raise ResourceError(
             f"requested height {hi - 1} exceeds the ceiling {HEIGHT_CEILING}"
@@ -113,16 +130,19 @@ def iter_prime_arrays(lo: int, hi: int) -> Iterator[np.ndarray]:
     seg_lo = lo
     while seg_lo < hi:
         seg_hi = min(seg_lo + SEGMENT_WIDTH, hi)
-        flags = _segment_flags(seg_lo, seg_hi, base)
-        primes = np.flatnonzero(np.frombuffer(flags, dtype=np.uint8)).astype(np.int64, copy=False)
-        primes += seg_lo
-        yield primes
+        yield seg_lo, _segment_flags(seg_lo, seg_hi, base)
         seg_lo = seg_hi
 
 
 def iter_primes(lo: int, hi: int) -> Iterator[int]:
-    """Yield the primes in [lo, hi) in increasing order, as Python ints."""
-    for primes in iter_prime_arrays(lo, hi):
+    """Yield the primes in [lo, hi) in increasing order, as Python ints.
+    numpy is imported when the first prime is asked for: per segment its
+    flatnonzero is about six times faster than compress."""
+    import numpy as np
+
+    for seg_lo, flags in _segments(lo, hi):
+        primes = np.flatnonzero(np.frombuffer(flags, dtype=np.uint8)).astype(np.int64, copy=False)
+        primes += seg_lo
         yield from primes.tolist()
 
 
@@ -185,9 +205,12 @@ class APIndex:
         _check_height(height - 1)
         _check_allocation(_prime_list_bytes(height))
         q, a = self.q, self.a
-        for primes in iter_prime_arrays(self._height, height):
-            self.primes.extend(primes.tolist())
-            self._members.extend(primes[primes % q == a].tolist())
+        for seg_lo, flags in _segments(self._height, height):
+            seg_hi = seg_lo + len(flags)
+            self.primes.extend(compress(range(seg_lo, seg_hi), flags))
+            # the integers = a mod q sit at flags[off], flags[off + q], ...
+            off = (a - seg_lo) % q
+            self._members.extend(compress(range(seg_lo + off, seg_hi, q), flags[off::q]))
         self._height = height
 
     def _extend(self) -> None:

@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from shiu import cli
+from shiu import cli, sieve
 from shiu.construction import (
     ConstructionParams,
     as_ktuple,
@@ -17,6 +21,8 @@ from shiu.construction import (
 )
 from shiu.errors import InternalConsistencyError
 from shiu.tuples import format_tuple_text
+
+from ._oracles import trial_primes
 
 
 def run(capsys, *argv):
@@ -295,6 +301,81 @@ def test_budget_env_stops_big_construct(capsys, monkeypatch):
                          "--k", "2")
     assert code == 2 and out == ""
     assert err.startswith("error: resource:")
+
+
+# 8*q is 8e11 here, so the first extension of the progression index would
+# keep about 1.5 TB of primes; physical memory must refuse it up front
+HUGE_Q = 10**11
+
+
+@pytest.mark.skipif(sieve._physical_memory() is None,
+                    reason="physical memory size is unknown on this platform")
+def test_huge_q_fails_fast_without_a_budget(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("SHIU_SIEVE_BUDGET_MB", raising=False)
+    code, out, err = run(capsys, "construct", "--q", str(HUGE_Q), "--a", "1",
+                         "--k", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: resource:")
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({
+        "q": HUGE_Q, "a": 1, "k": 2, "t": 0,
+        "offsets": [2 * HUGE_Q + 1, 3 * HUGE_Q + 1], "g_factors": [2],
+        "B": HUGE_Q,
+    }))
+    for argv in (("verify",), ("scan", "--n-lo", "1", "--n-hi", "1")):
+        code, out, err = run(capsys, *argv, "--cert", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: resource:")
+
+
+SEARCH_ALL = ("search", "--q", "3", "--a", "1", "--all")
+
+
+def test_search_all_jsonl_file_equals_stdout(capsys, tmp_path):
+    argv = SEARCH_ALL + ("--m", "2", "--cap", "10000")
+    code, streamed, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    ps = trial_primes(10000)
+    pairs = sum(p % 3 == r % 3 == 1 for p, r in zip(ps, ps[1:]))
+    assert streamed.count("\n") == pairs
+    path = tmp_path / "strings.jsonl"
+    code, out, err = run(capsys, *argv, "--output", str(path))
+    assert code == 0 and out == "" and err == ""
+    assert path.read_bytes() == streamed.encode()
+
+
+@pytest.mark.parametrize("extra,want_code,kind", [
+    (("--m", "1"), 1, "domain"),
+    (("--m", "2", "--cap", str(2**41)), 2, "resource"),
+], ids=["domain", "resource"])
+def test_search_all_error_writes_nothing(capsys, tmp_path, extra, want_code, kind):
+    path = tmp_path / "strings.jsonl"
+    for output in ((), ("--output", str(path))):
+        code, out, err = run(capsys, *SEARCH_ALL, *extra, *output)
+        assert code == want_code and out == ""
+        assert err.startswith(f"error: {kind}:")
+    assert not path.exists()
+
+
+def test_small_commands_never_import_numpy(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    cert = tmp_path / "cert.json"
+    commands = (
+        ("construct", "--q", "3", "--a", "1", "--k", "5", "--output", str(cert)),
+        ("verify", "--cert", str(cert)),
+        ("scan", "--cert", str(cert), "--n-lo", "0", "--n-hi", "3"),
+        ("bounds", "--q-min", "3", "--q-max", "8", "--k-min", "2", "--k-max", "6"),
+        ("--seed-doc",),
+    )
+    for argv in commands:
+        res = subprocess.run([sys.executable, "-X", "importtime", "-m", "shiu", *argv],
+                             capture_output=True, text=True, env=env, check=True)
+        imported = {line.rsplit("|", 1)[-1].strip()
+                    for line in res.stderr.splitlines() if line.startswith("import time:")}
+        assert "shiu.cli" in imported, argv
+        assert not any(name.split(".")[0] == "numpy" for name in imported), argv
 
 
 def test_internal_error_emits_repro_bundle(capsys, monkeypatch):

@@ -190,7 +190,8 @@ class TestDiameterStats:
 
 def test_jsonl_schema():
     s = first_string(4, 1, 2, cap=100)
-    line = strings_to_jsonl([s]).splitlines()[0]
+    (line,) = strings_to_jsonl([s])
+    assert line.endswith("}\n")
     data = json.loads(line)
     assert list(data) == ["q", "a", "m", "start_prime", "primes", "diameter"]
     assert data == {"q": 4, "a": 1, "m": 2, "start_prime": 13,

@@ -1,6 +1,6 @@
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shiu.sieve as sieve
@@ -77,6 +77,29 @@ def test_env_budget_validation(monkeypatch):
         sieve._check_allocation((64 << 20) + 1)
 
 
+def test_physical_memory_bounds_allocation_without_budget(monkeypatch):
+    monkeypatch.delenv("SHIU_SIEVE_BUDGET_MB", raising=False)
+    monkeypatch.setattr(sieve, "_physical_memory", lambda: 1000)
+    sieve._check_allocation(1000)
+    with pytest.raises(ResourceError):
+        sieve._check_allocation(1001)
+    monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "1")
+    sieve._check_allocation(1 << 20)  # a set budget replaces the fallback
+    monkeypatch.delenv("SHIU_SIEVE_BUDGET_MB")
+    monkeypatch.setattr(sieve, "_physical_memory", lambda: None)
+    sieve._check_allocation(1 << 60)
+
+
+def test_physical_memory_is_unknown_without_sysconf(monkeypatch):
+    def unsupported(name):
+        raise ValueError(name)
+
+    monkeypatch.setattr(sieve.os, "sysconf", unsupported)
+    assert sieve._physical_memory() is None
+    monkeypatch.delattr(sieve.os, "sysconf")
+    assert sieve._physical_memory() is None
+
+
 class TestAPIndex:
     def test_known_sequences(self):
         idx = APIndex(3, 1)
@@ -126,26 +149,33 @@ class TestAPIndex:
 
     def test_first_extension_is_sized_to_the_query(self, monkeypatch):
         heights = []
-        real = sieve.iter_prime_arrays
+        real = sieve._segments
 
         def recording(lo, hi):
             heights.append(hi)
             return real(lo, hi)
 
-        monkeypatch.setattr(sieve, "iter_prime_arrays", recording)
+        monkeypatch.setattr(sieve, "_segments", recording)
         idx = APIndex(3, 1)
         assert idx.nth(5) == 37
         assert heights and max(heights) < 64
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from([(3, 1), (3, 2), (4, 3), (5, 2), (7, 5), (12, 7), (29, 1)]),
+    @given(st.sampled_from([(3, 1), (3, 2), (4, 3), (5, 2), (7, 5), (12, 7), (29, 1), (30, 7)]),
            st.integers(min_value=1, max_value=40),
-           st.sampled_from([8, 64, 1 << 16]))
+           st.sampled_from([7, 8, 64, 1 << 16]))
+    @example((30, 7), 40, 7)  # a width that is no multiple of q
     def test_answers_do_not_depend_on_segment_width(self, qa, n, width):
         q, a = qa
         want = ap_primes_oracle(q, a, n)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sieve, "SEGMENT_WIDTH", width)
+            # one fixed height first: a wrong member slice then fails here
+            # instead of sending nth after members that never come
+            idx = APIndex(q, a)
+            idx.extend_to(want[-1] + 1)
+            assert idx.count_up_to(want[-1]) == n
+            assert [idx.nth(i) for i in range(1, n + 1)] == want
             idx = APIndex(q, a)
             assert [idx.nth(i) for i in range(1, n + 1)] == want
             assert idx.count_up_to(want[-1]) == n
@@ -181,4 +211,4 @@ def test_iter_primes_windows_agree_with_oracle(a, b):
 def test_least_prime_factors_agree_with_trial_division(lo, width):
     want = [next(d for d in range(2, n + 1) if n % d == 0 and is_prime_trial(d))
             for n in range(lo, lo + width)]
-    assert least_prime_factors(lo, lo + width).tolist() == want
+    assert least_prime_factors(lo, lo + width) == want
