@@ -14,7 +14,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from math import ceil, gcd, log
+from math import ceil, gcd, inf, log
 from typing import NamedTuple
 
 from .construction import ConstructionParams, build
@@ -34,6 +34,8 @@ class LinnikConfig:
     def __post_init__(self):
         if self.L <= 0:
             raise DomainError("L must be positive")
+        if not self.L < inf:  # inf or nan, which ceil refuses
+            raise DomainError(f"L must be finite, got {self.L}")
 
     def m_for(self, k: int) -> int:
         return max(k, ceil(self.L))

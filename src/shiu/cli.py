@@ -150,11 +150,13 @@ def _cmd_construct(args) -> str:
 def _read_cert(path: str) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read certificate {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad syntax and integers past the int-string
+        # digit limit; RecursionError, nesting deeper than the parser goes
         raise DomainError(f"malformed certificate JSON: {exc}") from exc
     return data
 

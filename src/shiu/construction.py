@@ -21,7 +21,7 @@ from math import gcd, prod
 
 from .errors import DomainError, InternalConsistencyError, ResourceError
 from .primality import classify_prime
-from .sieve import SEGMENT_WIDTH, APIndex, least_prime_factors, primes_up_to
+from .sieve import APIndex, _check_allocation, check_progression, primes_up_to
 from .tuples import AdmissibilityReport, KTuple, LinearForm, is_admissible
 
 SHIFT_CAP = 10**6  # largest shift choose_t tries before a ResourceError
@@ -36,10 +36,7 @@ class ConstructionParams:
     k: int
 
     def __post_init__(self):
-        if self.q < 3:
-            raise DomainError("q must be >= 3")
-        if gcd(self.a, self.q) != 1:
-            raise DomainError("gcd(a,q) != 1")
+        check_progression(self.q, self.a)
         if self.k < 2:
             raise DomainError("k must be >= 2")
 
@@ -177,28 +174,30 @@ def verify_isolation(c: Construction) -> list[tuple[int, int]]:
     because the last offset is below the square of the first. Finding none is
     therefore a bug, not an input condition.
 
-    The least prime factor of h, read from one sieve over the interval, is
-    the answer whenever it is a g_factor and every g_factor exceeds 1; any
-    other h falls back to scanning g_factors in order.
+    The interval is sieved by the g_factors themselves: each one is written
+    into the slots of its multiples, largest first, so each slot ends up
+    holding the least g_factor dividing it. This holds for any ascending
+    positive g_factors, a 1 or a composite among them. The list has one
+    slot per integer of the interval and is charged to the memory budget.
     """
+    lo, stop = c.offsets[0], c.offsets[-1] + 1
+    _check_allocation(8 * (stop - lo))  # one pointer per slot
+    least: list[int | None] = [None] * (stop - lo)
+    for f in reversed(c.g_factors):
+        start = -(-lo // f) * f
+        least[start - lo::f] = [f] * len(range(start, stop, f))
     chosen = set(c.offsets)
-    factors = set(c.g_factors) if c.g_factors and c.g_factors[0] > 1 else set()
     blocking: list[tuple[int, int]] = []
-    stop = c.offsets[-1] + 1
-    for lo in range(c.offsets[0], stop, SEGMENT_WIDTH):
-        hi = min(lo + SEGMENT_WIDTH, stop)
-        for h, p in enumerate(least_prime_factors(lo, hi), lo):
-            if h in chosen:
-                continue
-            if p not in factors or h % p:
-                p = next((f for f in c.g_factors if h % f == 0), None)
-                if p is None:
-                    raise InternalConsistencyError(
-                        "interior value with no blocking factor",
-                        context={"q": c.params.q, "a": c.params.residue,
-                                 "k": c.params.k, "t": c.t, "h": h},
-                    )
-            blocking.append((h, p))
+    for h, p in zip(range(lo, stop), least):
+        if h in chosen:
+            continue
+        if p is None:
+            raise InternalConsistencyError(
+                "interior value with no blocking factor",
+                context={"q": c.params.q, "a": c.params.residue,
+                         "k": c.params.k, "t": c.t, "h": h},
+            )
+        blocking.append((h, p))
     return blocking
 
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import compress
-from math import gcd
 from statistics import mean, median
 from typing import Iterable, Iterator
 
 from .errors import DomainError, NotFoundError
-from .sieve import _segments, iter_primes
+from .sieve import _segments, check_progression, iter_primes
 
 DEFAULT_HEIGHT_CAP = 10**8
 
@@ -38,10 +37,7 @@ class ShiuString:
     diameter: int
 
     def __post_init__(self):
-        if self.q < 3:
-            raise DomainError("q must be >= 3")
-        if gcd(self.a, self.q) != 1:
-            raise DomainError("gcd(a,q) != 1")
+        check_progression(self.q, self.a)
         if self.start_index < 0:
             raise DomainError("start_index must be nonnegative")
         if len(self.primes) < 2:
@@ -83,10 +79,7 @@ def all_strings(
         raise DomainError("m must be >= 2")
     if cap < 3:
         raise DomainError("cap must be >= 3")
-    if q < 3:
-        raise DomainError("q must be >= 3")
-    if gcd(a, q) != 1:
-        raise DomainError("gcd(a,q) != 1")
+    check_progression(q, a)
     res = a % q
 
     run: list[int] = []

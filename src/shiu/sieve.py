@@ -1,12 +1,16 @@
 """Segmented sieve of Eratosthenes and indexed access to progression primes.
 
 Everything downstream sits on this module: plain prime enumeration up to a
-height, and the lazily extended 1-based index into the primes congruent to
-a fixed residue a modulo q. One private generator hands out each segment as
-its start and a bytearray of primality flags; each consumer takes from the
-flags only what it needs, with itertools.compress and strided slices. numpy
-is imported only by iter_primes, the bulk stream, where extracting primes
-from flags is several times faster with it. Heights are bounded by the
+height, the lazily extended 1-based index into the primes congruent to a
+fixed residue a modulo q, and check_progression, the one test of which
+(q, a) are accepted. A single loop, _segment_flags, does all the sieving:
+it flags the primes of one interval given the primes up to the square root
+of its end, and those base primes come from the same loop run over
+[2, root]. One private generator hands out each segment as its start and a
+bytearray of primality flags; each consumer takes from the flags only what
+it needs, with itertools.compress and strided slices. numpy is imported
+only by iter_primes, the bulk stream, where extracting primes from flags
+is several times faster with it. Heights are bounded by the
 HEIGHT_CEILING constant so that searches whose termination is only
 guaranteed asymptotically fail cleanly instead of running away, and each
 large allocation is checked against the memory budget in
@@ -64,24 +68,12 @@ def _check_height(y: int) -> None:
         raise ResourceError(f"height {y} exceeds the ceiling {HEIGHT_CEILING}")
 
 
-def _simple_flags(n: int) -> bytearray:
-    """Byte-per-number primality flags for [0, n]."""
-    if n < 1:
-        return bytearray(n + 1)
-    flags = bytearray([1]) * (n + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start::p] = b"\x00" * ((n - start) // p + 1)
-    return flags
-
-
-def _base_primes(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    flags = _simple_flags(limit)
-    return list(compress(range(limit + 1), flags))
+def check_progression(q: int, a: int) -> None:
+    """Refuse the progression a mod q unless q >= 3 and gcd(a, q) = 1."""
+    if q < 3:
+        raise DomainError("q must be >= 3")
+    if gcd(a, q) != 1:
+        raise DomainError("gcd(a,q) != 1")
 
 
 def _segment_flags(lo: int, hi: int, base: list[int]) -> bytearray:
@@ -99,28 +91,19 @@ def _segment_flags(lo: int, hi: int, base: list[int]) -> bytearray:
     return flags
 
 
-def least_prime_factors(lo: int, hi: int) -> list[int]:
-    """Least prime factor of each integer in [lo, hi), a prime being its
-    own. Requires lo >= 2; the list holds one int object per integer."""
-    if lo < 2:
-        raise DomainError("least prime factors need lo >= 2")
-    least = list(range(lo, hi))
-    if hi <= lo:
-        return least
-    # larger primes first, so the smallest divisor is written last
-    for p in reversed(_base_primes(isqrt(hi - 1))):
-        start = max(p * p, -(-lo // p) * p)
-        least[start - lo::p] = [p] * len(range(start, hi, p))
-    return least
+def _base_primes(limit: int) -> list[int]:
+    """Every prime <= limit, from one segment over [2, limit] sieved by the
+    primes up to its square root."""
+    if limit < 2:
+        return []
+    flags = _segment_flags(2, limit + 1, _base_primes(isqrt(limit)))
+    return list(compress(range(2, limit + 1), flags))
 
 
 def _segments(lo: int, hi: int) -> Iterator[tuple[int, bytearray]]:
     """Yield (seg_lo, flags) for consecutive segments covering [max(lo, 2),
     hi): flags[i] is 1 iff seg_lo + i is prime. Each bytearray is fresh."""
-    if hi > HEIGHT_CEILING + 1:
-        raise ResourceError(
-            f"requested height {hi - 1} exceeds the ceiling {HEIGHT_CEILING}"
-        )
+    _check_height(hi - 1)
     lo = max(lo, 2)
     if hi <= lo:
         return
@@ -182,10 +165,7 @@ class APIndex:
     """
 
     def __init__(self, q: int, a: int):
-        if q < 3:
-            raise DomainError("q must be >= 3")
-        if gcd(a, q) != 1:
-            raise DomainError("gcd(a,q) != 1")
+        check_progression(q, a)
         self.q = q
         self.a = a % q
         self.primes: list[int] = []

@@ -33,6 +33,21 @@ def test_linnik_window_arithmetic():
         LinnikConfig(L=0)
 
 
+@pytest.mark.parametrize("L,message", [
+    (0, "L must be positive"), (-1.5, "L must be positive"),
+    (float("-inf"), "L must be positive"),
+    (float("inf"), "L must be finite"), (float("nan"), "L must be finite"),
+    (float("1e400"), "L must be finite"),
+], ids=["zero", "negative", "-inf", "inf", "nan", "1e400"])
+def test_linnik_exponent_must_be_positive_and_finite(L, message):
+    with pytest.raises(DomainError, match=message):
+        LinnikConfig(L=L)
+
+
+def test_linnik_exponent_may_be_a_huge_integer():
+    assert LinnikConfig(L=10**400).m_for(3) == 10**400
+
+
 def test_measure_b_worked_examples():
     row = measure_b(3, 1, 5)
     assert row == BoundRow(q=3, a=1, k=5, t=0, B=30, window_cap=25,

@@ -191,6 +191,22 @@ class TestVerify:
         assert "malformed certificate JSON" in err
 
 
+@pytest.mark.parametrize("content", [
+    bytes(range(256)),
+    b"[" * 100_000 + b"]" * 100_000,
+    b'{"q": ' + b"9" * 5000 + b"}",
+], ids=["not-utf8", "nested-100000-deep", "5000-digit-q"])
+@pytest.mark.parametrize("argv", [
+    ("verify",), ("scan", "--n-lo", "1", "--n-hi", "1"),
+], ids=["verify", "scan"])
+def test_unparseable_certificate_is_a_domain_error(capsys, tmp_path, content, argv):
+    path = tmp_path / "cert.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, argv[0], "--cert", str(path), *argv[1:])
+    assert code == 1 and out == ""
+    assert err.startswith("error: domain:") and err.count("\n") == 1
+
+
 class TestScan:
     def test_jsonl_matches_library(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
@@ -241,6 +257,14 @@ def test_bounds_csv_shape(capsys):
     # q in {3, 4} each has two coprime residues, crossed with two k values
     assert len(lines) == 1 + 8
     assert lines[1].startswith("3,1,2,")
+
+
+@pytest.mark.parametrize("L", ["nan", "inf", "1e400"])
+def test_bounds_refuses_a_non_finite_exponent(capsys, L):
+    code, out, err = run(capsys, "bounds", "--q-min", "3", "--q-max", "4",
+                         "--k-min", "2", "--k-max", "3", "--L", L)
+    assert code == 1 and out == ""
+    assert err == "error: domain: L must be finite, got " + ("nan" if L == "nan" else "inf") + "\n"
 
 
 def test_search_first_string_json(capsys):

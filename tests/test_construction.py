@@ -2,6 +2,8 @@ import json
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from sympy import isprime
 
 import shiu.construction as construction
@@ -219,13 +221,6 @@ def test_verify_isolation_matches_linear_scan(q, a, k):
     assert verify_isolation(c) == blocking_oracle(c.offsets, c.g_factors)
 
 
-def test_verify_isolation_is_independent_of_chunk_width(monkeypatch):
-    c = build(ConstructionParams(q=29, a=1, k=12))
-    want = verify_isolation(c)
-    monkeypatch.setattr(construction, "SEGMENT_WIDTH", 7)
-    assert verify_isolation(c) == want == blocking_oracle(c.offsets, c.g_factors)
-
-
 def test_verify_isolation_falls_back_past_a_missing_factor():
     c = build(ConstructionParams(q=3, a=1, k=5))
     no_two = Construction(params=c.params, t=c.t, offsets=c.offsets,
@@ -251,6 +246,51 @@ def test_verify_isolation_keeps_unit_factor_semantics():
     pairs = verify_isolation(with_one)
     assert pairs == blocking_oracle(c.offsets, with_one.g_factors)
     assert {p for _, p in pairs} == {1}
+
+
+def _isolation_outcome(c):
+    try:
+        return verify_isolation(c)
+    except InternalConsistencyError as exc:
+        return exc.context["h"]
+
+
+# 1, the primes below 41 that are not offsets, and composites up to 40
+_FACTOR_POOL = sorted({1} | set(trial_primes(40)).difference(EX_OFFSETS)
+                      | {n for n in range(4, 41) if n not in trial_primes(40)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(st.sampled_from(EX_G_FACTORS)), st.sets(st.sampled_from(_FACTOR_POOL)),
+       st.booleans())
+@example(frozenset(), frozenset(), False)
+@example(frozenset({2}), frozenset({4}), False)
+@example(frozenset(), frozenset({1}), False)
+def test_verify_isolation_equals_the_blocking_oracle(dropped, extra, only_extra):
+    # any ascending positive g_factors: the certificate's own with some
+    # dropped, plus units, composites and extra primes
+    kept = set() if only_extra else set(EX_G_FACTORS) - dropped
+    g_factors = tuple(sorted(kept | extra))
+    c = Construction(params=ConstructionParams(q=3, a=1, k=5), t=0,
+                     offsets=EX_OFFSETS, g_factors=g_factors,
+                     B=EX_OFFSETS[-1] - EX_OFFSETS[0])
+    want = blocking_oracle(c.offsets, g_factors)
+    uncovered = next((h for h, p in want if p is None), None)
+    assert _isolation_outcome(c) == (want if uncovered is None else uncovered)
+
+
+def test_verify_isolation_charges_its_interval_to_the_budget(monkeypatch):
+    # no g_factors, so every interior h is uncovered; the one-slot-per-h
+    # list over a million integers is refused before any h is looked at
+    c = Construction(params=ConstructionParams(q=3, a=1, k=2), t=0,
+                     offsets=(1009, 1000000), g_factors=(), B=1000000 - 1009)
+    monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "1")
+    with pytest.raises(ResourceError):
+        verify_isolation(c)
+    monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "16")
+    with pytest.raises(InternalConsistencyError) as info:
+        verify_isolation(c)
+    assert info.value.context["h"] == 1010
 
 
 class TestScanWindows:

@@ -7,12 +7,12 @@ import shiu.sieve as sieve
 from shiu.errors import DomainError, ResourceError
 from shiu.sieve import (
     APIndex,
+    check_progression,
     iter_primes,
-    least_prime_factors,
     primes_up_to,
 )
 
-from ._oracles import ap_primes_oracle, is_prime_trial, trial_primes
+from ._oracles import ap_primes_oracle, trial_primes
 
 
 def test_primes_up_to_edge_cases():
@@ -28,6 +28,9 @@ def test_prime_counts_at_known_heights():
 
 
 @given(st.integers(min_value=0, max_value=2000))
+@example(3)
+@example(4)  # the base primes' own root first reaches 2
+@example(961)  # a prime square
 def test_matches_trial_division(y):
     assert primes_up_to(y) == trial_primes(y)
 
@@ -206,9 +209,12 @@ def test_iter_primes_windows_agree_with_oracle(a, b):
     assert list(iter_primes(lo, hi)) == [p for p in trial_primes(hi - 1) if p >= lo]
 
 
-@settings(max_examples=30)
-@given(st.integers(min_value=2, max_value=3000), st.integers(min_value=0, max_value=300))
-def test_least_prime_factors_agree_with_trial_division(lo, width):
-    want = [next(d for d in range(2, n + 1) if n % d == 0 and is_prime_trial(d))
-            for n in range(lo, lo + width)]
-    assert least_prime_factors(lo, lo + width) == want
+@pytest.mark.parametrize("q,a,message", [
+    (2, 1, "q must be >= 3"), (-6, 2, "q must be >= 3"), (4, 2, "gcd"), (9, 0, "gcd"),
+])
+def test_check_progression_is_the_one_progression_check(q, a, message):
+    with pytest.raises(DomainError, match=message):
+        check_progression(q, a)
+    with pytest.raises(DomainError, match=message):
+        APIndex(q, a)
+    check_progression(9, 4)
