@@ -70,6 +70,8 @@ class Construction:
             raise DomainError("offsets must be strictly increasing")
         if list(self.g_factors) != sorted(set(self.g_factors)):
             raise DomainError("g_factors must be strictly increasing")
+        if self.g_factors and self.g_factors[0] < 1:
+            raise DomainError("g_factors must be positive")
         if not k < self.offsets[0]:
             raise DomainError("need k < first offset")
         if not self.offsets[-1] < self.offsets[0] ** 2:
@@ -177,11 +179,14 @@ def verify_isolation(c: Construction) -> list[tuple[int, int]]:
     The interval is sieved by the g_factors themselves: each one is written
     into the slots of its multiples, largest first, so each slot ends up
     holding the least g_factor dividing it. This holds for any ascending
-    positive g_factors, a 1 or a composite among them. The list has one
-    slot per integer of the interval and is charged to the memory budget.
+    positive g_factors, a 1 or a composite among them. The slot list and
+    the returned pairs are charged to the memory budget before either is
+    built.
     """
     lo, stop = c.offsets[0], c.offsets[-1] + 1
-    _check_allocation(8 * (stop - lo))  # one pointer per slot
+    # a pointer per slot, then per interior h a 2-tuple, its int and a list
+    # pointer: about 96 bytes under tracemalloc
+    _check_allocation(8 * (stop - lo) + 96 * (stop - lo - len(c.offsets)))
     least: list[int | None] = [None] * (stop - lo)
     for f in reversed(c.g_factors):
         start = -(-lo // f) * f

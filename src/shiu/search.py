@@ -3,8 +3,10 @@
 The construction promises such runs exist far out; this module looks for the
 ones that occur naturally at small height. A run here is m consecutive
 primes, consecutive in the full prime sequence, all congruent to a mod q.
-The scanner streams primes in order, growing a run while the residue
-matches and resetting on any break.
+The scanner takes the primes one sieve segment at a time as a numpy array,
+finds the length of the matching run ending at each prime with a running
+maximum over the misses, and carries the run still open at the segment's
+end into the next one. Only the strings it yields become Python objects.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import compress
-from statistics import mean, median
+from operator import lt
+from statistics import median
 from typing import Iterable, Iterator
 
 from .errors import DomainError, NotFoundError
-from .sieve import _segments, check_progression, iter_primes
+from .sieve import _prime_arrays, _segments, check_progression
 
 DEFAULT_HEIGHT_CAP = 10**8
 
@@ -42,10 +45,9 @@ class ShiuString:
             raise DomainError("start_index must be nonnegative")
         if len(self.primes) < 2:
             raise DomainError("a string needs at least two primes")
-        if any(b <= a for a, b in zip(self.primes, self.primes[1:])):
+        if not all(map(lt, self.primes, self.primes[1:])):
             raise DomainError("primes must be strictly increasing")
-        res = self.a % self.q
-        if any(p % self.q != res for p in self.primes):
+        if set(map(self.q.__rmod__, self.primes)) != {self.a % self.q}:
             raise DomainError("every member must be congruent to a mod q")
         if self.diameter != self.primes[-1] - self.primes[0]:
             raise DomainError("diameter must equal last prime minus first")
@@ -80,36 +82,49 @@ def all_strings(
     if cap < 3:
         raise DomainError("cap must be >= 3")
     check_progression(q, a)
-    res = a % q
+    import numpy as np
 
-    run: list[int] = []
-    run_start_index = 0
-    count = 0
-    for p in iter_primes(2, cap):
-        count += 1
-        if p % q == res:
-            if not run:
-                run_start_index = count - 1
-            run.append(p)
-            if not maximal_only and len(run) >= m:
-                window = tuple(run[-m:])
-                yield ShiuString(
-                    q=q, a=a,
-                    start_index=run_start_index + len(run) - m,
-                    primes=window,
-                    diameter=window[-1] - window[0],
-                )
+    res = a % q
+    # below cap, p % min(q, cap) == p % q, and the modulus then fits int64
+    modulus = min(q, cap)
+    # the open run's last m - 1 primes, or all of it with maximal_only
+    carry = np.empty(0, dtype=np.int64)
+    before = 0  # primes below the current segment
+    for segment in _prime_arrays(2, cap):
+        primes = np.concatenate((carry, segment))
+        offset = before - len(carry)  # start_index of primes[0]
+        before += len(segment)
+        if not len(primes):
+            continue
+        pos = np.arange(len(primes))
+        hit = primes % modulus == res
+        # run[i]: matching primes ending at i, counted from the last miss
+        run = np.where(hit, -1, pos)
+        np.maximum.accumulate(run, out=run)
+        np.subtract(pos, run, out=run)
+        if maximal_only:
+            # a run closes at the prime before each miss
+            ends = np.flatnonzero(~hit[1:] & (run[:-1] >= m))
+            starts = ends + 1 - run[ends]
+            vals = primes.tolist()
+            for i, j in zip(starts.tolist(), (ends + 1).tolist()):
+                members = tuple(vals[i:j])
+                yield ShiuString(q=q, a=a, start_index=offset + i, primes=members,
+                                 diameter=members[-1] - members[0])
+            keep = int(run[-1])
         else:
-            if maximal_only and len(run) >= m:
-                primes = tuple(run)
-                yield ShiuString(q=q, a=a, start_index=run_start_index,
-                                 primes=primes,
-                                 diameter=primes[-1] - primes[0])
-            run.clear()
-    if maximal_only and len(run) >= m:
-        primes = tuple(run)
-        yield ShiuString(q=q, a=a, start_index=run_start_index,
-                         primes=primes, diameter=primes[-1] - primes[0])
+            ends = np.flatnonzero(run >= m)  # the carry is too short to hold one
+            if len(ends):  # so m <= len(primes), and the gather stays small
+                columns = primes[ends + np.arange(1 - m, 1)[:, None]].tolist()
+                for i, row in zip((ends + offset + 1 - m).tolist(), zip(*columns)):
+                    yield ShiuString(q=q, a=a, start_index=i, primes=row,
+                                     diameter=row[-1] - row[0])
+            keep = min(int(run[-1]), m - 1)
+        carry = primes[len(primes) - keep:]
+    if maximal_only and len(carry) >= m:
+        members = tuple(carry.tolist())
+        yield ShiuString(q=q, a=a, start_index=before - len(members), primes=members,
+                         diameter=members[-1] - members[0])
 
 
 def first_string(q: int, a: int, m: int, *, cap: int = DEFAULT_HEIGHT_CAP) -> ShiuString:
@@ -197,7 +212,7 @@ def diameter_stats(
         min_diameter=min(ds),
         median_diameter=float(median(ds)),
         max_diameter=max(ds),
-        mean_diameter=float(mean(ds)),
+        mean_diameter=sum(ds) / len(ds),
         buckets=tuple(sorted(hist.items())),
         bucket_width=bucket_width,
         reference_b=reference_b,

@@ -9,8 +9,9 @@ of its end, and those base primes come from the same loop run over
 [2, root]. One private generator hands out each segment as its start and a
 bytearray of primality flags; each consumer takes from the flags only what
 it needs, with itertools.compress and strided slices. numpy is imported
-only by iter_primes, the bulk stream, where extracting primes from flags
-is several times faster with it. Heights are bounded by the
+only by _prime_arrays, which turns each segment's flags into an array of
+its primes several times faster than compress; the run search and
+iter_primes, the bulk stream, read those arrays. Heights are bounded by the
 HEIGHT_CEILING constant so that searches whose termination is only
 guaranteed asymptotically fail cleanly instead of running away, and each
 large allocation is checked against the memory budget in
@@ -117,15 +118,23 @@ def _segments(lo: int, hi: int) -> Iterator[tuple[int, bytearray]]:
         seg_lo = seg_hi
 
 
-def iter_primes(lo: int, hi: int) -> Iterator[int]:
-    """Yield the primes in [lo, hi) in increasing order, as Python ints.
-    numpy is imported when the first prime is asked for: per segment its
-    flatnonzero is about six times faster than compress."""
+def _prime_arrays(lo: int, hi: int):
+    """Yield the primes of each segment of [lo, hi) as one ascending int64
+    numpy array, possibly empty. numpy is imported when the first array is
+    asked for: per segment its flatnonzero is about six times faster than
+    compress."""
     import numpy as np
 
     for seg_lo, flags in _segments(lo, hi):
         primes = np.flatnonzero(np.frombuffer(flags, dtype=np.uint8)).astype(np.int64, copy=False)
         primes += seg_lo
+        yield primes
+
+
+def iter_primes(lo: int, hi: int) -> Iterator[int]:
+    """Yield the primes in [lo, hi) in increasing order, as Python ints,
+    one segment's array at a time."""
+    for primes in _prime_arrays(lo, hi):
         yield from primes.tolist()
 
 

@@ -95,6 +95,31 @@ def first_string_oracle(q: int, a: int, m: int, cap: int,
     return None
 
 
+def all_strings_oracle(q: int, a: int, m: int, cap: int, maximal_only: bool,
+                       primes: list[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """Every (start_index, primes) string below cap, by one linear scan:
+    each length-m window of a run of primes congruent to a mod q, or with
+    maximal_only each whole run of at least m, the one open at cap
+    included. primes must hold every prime below cap."""
+    out = []
+    run: list[int] = []
+    start = 0
+    for i, p in enumerate(primes + [None]):
+        if p is not None and p < cap and p % q == a % q:
+            if not run:
+                start = i
+            run.append(p)
+            if not maximal_only and len(run) >= m:
+                out.append((i + 1 - m, tuple(run[-m:])))
+            continue
+        if maximal_only and len(run) >= m:
+            out.append((start, tuple(run)))
+        run = []
+        if p is None or p >= cap:
+            break
+    return out
+
+
 def blocking_oracle(offsets, g_factors) -> list[tuple[int, int]]:
     """(h, least g_factor dividing h) for every non-offset h between the first
     and last offset, by a linear scan of g_factors; None marks an h no factor

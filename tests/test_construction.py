@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from math import gcd
 
@@ -136,6 +137,25 @@ def test_construction_validation_catches_tampering():
     ]:
         with pytest.raises(DomainError):
             Construction(**{**good, field: bad})
+
+
+@pytest.mark.parametrize("g_factors", [(0, 2, 3, 5, 11), (-2, 2, 3, 5, 11), (-3,)])
+def test_construction_refuses_nonpositive_g_factors(g_factors):
+    # verify_isolation would divide by the 0 or slice by the negative step
+    c = build(ConstructionParams(q=3, a=1, k=2))
+    with pytest.raises(DomainError, match="g_factors must be positive"):
+        dataclasses.replace(c, g_factors=g_factors)
+
+
+def test_verify_isolation_charges_the_pairs_it_returns(monkeypatch):
+    # (10007, 1, 3) has 320,222 interior h: 2.6 MB of slots but about 33 MB
+    # with the (h, p) pairs, so a 16 MB budget must refuse it
+    c = build(ConstructionParams(q=10007, a=1, k=3))
+    monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "16")
+    with pytest.raises(ResourceError):
+        verify_isolation(c)
+    monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "64")
+    assert len(verify_isolation(c)) == c.B + 1 - c.params.k
 
 
 def test_size_conditions_are_enforced():
@@ -281,13 +301,14 @@ def test_verify_isolation_equals_the_blocking_oracle(dropped, extra, only_extra)
 
 def test_verify_isolation_charges_its_interval_to_the_budget(monkeypatch):
     # no g_factors, so every interior h is uncovered; the one-slot-per-h
-    # list over a million integers is refused before any h is looked at
+    # list over a million integers, and the pairs it would return, about
+    # 104 bytes per h together, are refused before any h is looked at
     c = Construction(params=ConstructionParams(q=3, a=1, k=2), t=0,
                      offsets=(1009, 1000000), g_factors=(), B=1000000 - 1009)
     monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "1")
     with pytest.raises(ResourceError):
         verify_isolation(c)
-    monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "16")
+    monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "128")
     with pytest.raises(InternalConsistencyError) as info:
         verify_isolation(c)
     assert info.value.context["h"] == 1010

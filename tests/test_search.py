@@ -1,7 +1,13 @@
 import json
+import statistics
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import shiu.sieve as sieve
 
 from shiu.errors import DomainError, NotFoundError
 from shiu.search import (
@@ -15,7 +21,7 @@ from shiu.search import (
     verify_string,
 )
 
-from ._oracles import first_string_oracle, simple_sieve
+from ._oracles import all_strings_oracle, first_string_oracle, simple_sieve
 
 FIRSTS = {
     (4, 1, 2): (13, 17),
@@ -107,6 +113,55 @@ def test_matches_linear_scan_oracle(q):
                 assert (got.start_index, got.primes) == want
 
 
+_ORACLE_CAP = 20000
+_ORACLE_PRIMES = simple_sieve(_ORACLE_CAP)
+_CLASSES = [(q, a) for q in (3, 4, 5, 10) for a in range(1, q) if gcd(a, q) == 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((8, 64, 1 << 16)), st.sampled_from(_CLASSES),
+       st.integers(2, 5), st.booleans(), st.integers(3, _ORACLE_CAP))
+# (31, 37) is a run still open at the cap; 151, 157, 163 spans three
+# width-8 segments, so its windows come from carried primes
+@example(8, (3, 1), 2, True, 38)
+@example(8, (3, 1), 3, False, 164)
+@example(8, (3, 1), 3, True, 164)
+@example(8, (4, 1), 5, True, _ORACLE_CAP)
+def test_all_strings_matches_the_oracle_at_any_segment_width(width, cls, m, maximal, cap):
+    q, a = cls
+    want = all_strings_oracle(q, a, m, cap, maximal, _ORACLE_PRIMES)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve, "SEGMENT_WIDTH", width)
+        got = [(s.start_index, s.primes)
+               for s in all_strings(q, a, m, cap=cap, maximal_only=maximal)]
+    assert got == want
+
+
+def test_all_strings_stops_at_the_segment_holding_its_string(monkeypatch):
+    sieved = []
+    segments = sieve._segments
+
+    def counting(lo, hi):
+        for seg_lo, flags in segments(lo, hi):
+            sieved.append(seg_lo)
+            yield seg_lo, flags
+
+    monkeypatch.setattr(sieve, "_segments", counting)
+    monkeypatch.setattr(sieve, "SEGMENT_WIDTH", 64)
+    assert next(all_strings(3, 1, 3, cap=10**6)).primes == (151, 157, 163)
+    assert sieved == [2, 66, 130]
+
+
+def test_all_strings_with_a_modulus_beyond_int64():
+    # two congruent primes differ by at least q, so none lie below the cap
+    assert list(all_strings(1 << 70, 1, 2, cap=1000, maximal_only=True)) == []
+
+
+def test_all_strings_with_more_primes_per_string_than_below_the_cap():
+    # nothing is allocated per prime of a string that cannot exist
+    assert list(all_strings(3, 1, 10**12, cap=1000)) == []
+
+
 def test_diameter_laws_on_found_strings():
     for s in all_strings(5, 2, 2, cap=10**4):
         assert s.diameter >= (s.m - 1) * s.q
@@ -177,6 +232,11 @@ class TestDiameterStats:
     def test_width_validation(self):
         with pytest.raises(DomainError):
             diameter_stats([], bucket_width=0)
+
+    @given(st.lists(st.integers(0, 10**30), min_size=1))
+    def test_mean_is_the_correctly_rounded_mean(self, ds):
+        stats = diameter_stats(SimpleNamespace(diameter=d) for d in ds)
+        assert stats.mean_diameter == float(statistics.mean(ds))
 
     def test_csv_rendering(self):
         s = ShiuString(q=3, a=1, start_index=10, primes=(31, 37), diameter=6)
