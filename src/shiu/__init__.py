@@ -33,7 +33,6 @@ from .search import (
     all_strings,
     diameter_stats,
     first_string,
-    verify_string,
 )
 from .sieve import APIndex, primes_up_to
 from .tuples import (
@@ -82,5 +81,4 @@ __all__ = [
     "scan_windows",
     "verify_admissible",
     "verify_isolation",
-    "verify_string",
 ]

@@ -7,30 +7,35 @@ The scanner takes the primes one sieve segment at a time as a numpy array,
 finds the length of the matching run ending at each prime with a running
 maximum over the misses, and carries the run still open at the segment's
 end into the next one. Only the strings it yields become Python objects.
+
+The public ShiuString constructor validates every field. all_strings checks
+its invariants once per segment, in bulk on the array, and then builds each
+string without a per-object re-check.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress
-from operator import lt
-from statistics import median
+from operator import attrgetter, lt
 from typing import Iterable, Iterator
 
 from .errors import DomainError, NotFoundError
-from .sieve import _prime_arrays, _segments, check_progression
+from .sieve import _prime_arrays, check_progression
 
 DEFAULT_HEIGHT_CAP = 10**8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShiuString:
     """m consecutive primes sharing the residue a mod q.
 
     start_index is the count of primes below the first member, so the run
     occupies positions start_index+1 .. start_index+len(primes) in the
-    prime sequence.
+    prime sequence. The constructor validates every field; all_strings
+    checks its strings in bulk, a segment at a time, and builds them
+    through _checked_string instead.
     """
 
     q: int
@@ -59,6 +64,19 @@ class ShiuString:
     @property
     def start_prime(self) -> int:
         return self.primes[0]
+
+
+def _checked_string(q: int, a: int, start_index: int, primes: tuple[int, ...],
+                    diameter: int) -> ShiuString:
+    """A ShiuString whose fields the caller has already checked."""
+    s = object.__new__(ShiuString)
+    setslot = object.__setattr__  # bypasses the frozen __setattr__
+    setslot(s, "q", q)
+    setslot(s, "a", a)
+    setslot(s, "start_index", start_index)
+    setslot(s, "primes", primes)
+    setslot(s, "diameter", diameter)
+    return s
 
 
 def all_strings(
@@ -96,6 +114,13 @@ def all_strings(
         before += len(segment)
         if not len(primes):
             continue
+        # The one check of this segment's strings: their members are the
+        # array's primes in strictly increasing order, and offset >= 0 makes
+        # every start_index nonnegative. The rest holds by construction:
+        # every member is a hit, so it is congruent to a mod q; each diameter
+        # is last minus first; and m >= 2 gives each string two primes.
+        if offset < 0 or not (primes[1:] > primes[:-1]).all():
+            raise DomainError(f"the primes below {cap} are not strictly ascending")
         pos = np.arange(len(primes))
         hit = primes % modulus == res
         # run[i]: matching primes ending at i, counted from the last miss
@@ -109,22 +134,19 @@ def all_strings(
             vals = primes.tolist()
             for i, j in zip(starts.tolist(), (ends + 1).tolist()):
                 members = tuple(vals[i:j])
-                yield ShiuString(q=q, a=a, start_index=offset + i, primes=members,
-                                 diameter=members[-1] - members[0])
+                yield _checked_string(q, a, offset + i, members, members[-1] - members[0])
             keep = int(run[-1])
         else:
             ends = np.flatnonzero(run >= m)  # the carry is too short to hold one
             if len(ends):  # so m <= len(primes), and the gather stays small
                 columns = primes[ends + np.arange(1 - m, 1)[:, None]].tolist()
                 for i, row in zip((ends + offset + 1 - m).tolist(), zip(*columns)):
-                    yield ShiuString(q=q, a=a, start_index=i, primes=row,
-                                     diameter=row[-1] - row[0])
+                    yield _checked_string(q, a, i, row, row[-1] - row[0])
             keep = min(int(run[-1]), m - 1)
         carry = primes[len(primes) - keep:]
     if maximal_only and len(carry) >= m:
         members = tuple(carry.tolist())
-        yield ShiuString(q=q, a=a, start_index=before - len(members), primes=members,
-                         diameter=members[-1] - members[0])
+        yield _checked_string(q, a, before - len(members), members, members[-1] - members[0])
 
 
 def first_string(q: int, a: int, m: int, *, cap: int = DEFAULT_HEIGHT_CAP) -> ShiuString:
@@ -135,32 +157,6 @@ def first_string(q: int, a: int, m: int, *, cap: int = DEFAULT_HEIGHT_CAP) -> Sh
     raise NotFoundError(
         f"no string of {m} consecutive primes congruent to {a} mod {q} below {cap}"
     )
-
-
-def verify_string(s: ShiuString) -> bool:
-    """Recheck a claimed string against a fresh sieve.
-
-    The span between the first and last member is re-sieved and must contain
-    exactly the claimed primes, which pins down consecutiveness; residues and
-    the diameter are rechecked by arithmetic, and the count of primes below
-    the first member is recomputed from scratch by counting sieve flags.
-    """
-    span = tuple(
-        p
-        for seg_lo, flags in _segments(s.primes[0], s.primes[-1] + 1)
-        for p in compress(range(seg_lo, seg_lo + len(flags)), flags)
-    )
-    if span != s.primes:
-        raise DomainError(
-            f"span re-sieve found {len(span)} primes where the string claims {s.m}"
-        )
-    below = sum(flags.count(1) for _, flags in _segments(2, s.primes[0]))
-    if below != s.start_index:
-        raise DomainError(
-            f"start_index is {s.start_index} but {below} primes precede "
-            f"{s.primes[0]}"
-        )
-    return True
 
 
 # -- diameter summaries ---------------------------------------------------
@@ -193,30 +189,33 @@ def diameter_stats(
     that bound."""
     if bucket_width < 1:
         raise DomainError("bucket_width must be >= 1")
-    ds = [s.diameter for s in strings]
+    ds = sorted(map(attrgetter("diameter"), strings))
+    n = len(ds)
     if not ds:
         return DiameterStats(count=0, min_diameter=None, median_diameter=None,
                              max_diameter=None, mean_diameter=None,
                              buckets=(), bucket_width=bucket_width,
                              reference_b=reference_b,
                              at_or_below_reference=0 if reference_b is not None else None)
-    hist: dict[int, int] = {}
-    for d in ds:
-        lo = (d // bucket_width) * bucket_width
-        hist[lo] = hist.get(lo, 0) + 1
-    at_or_below = None
-    if reference_b is not None:
-        at_or_below = sum(1 for d in ds if d <= reference_b)
+    # the list is sorted, so each bucket is one slice of it
+    buckets = []
+    i = 0
+    while i < n:
+        lo = ds[i] // bucket_width * bucket_width
+        j = bisect_left(ds, lo + bucket_width, i)
+        buckets.append((lo, j - i))
+        i = j
+    half = n // 2
     return DiameterStats(
-        count=len(ds),
-        min_diameter=min(ds),
-        median_diameter=float(median(ds)),
-        max_diameter=max(ds),
-        mean_diameter=sum(ds) / len(ds),
-        buckets=tuple(sorted(hist.items())),
+        count=n,
+        min_diameter=ds[0],
+        median_diameter=float(ds[half]) if n % 2 else (ds[half - 1] + ds[half]) / 2,
+        max_diameter=ds[-1],
+        mean_diameter=sum(ds) / n,
+        buckets=tuple(buckets),
         bucket_width=bucket_width,
         reference_b=reference_b,
-        at_or_below_reference=at_or_below,
+        at_or_below_reference=None if reference_b is None else bisect_right(ds, reference_b),
     )
 
 

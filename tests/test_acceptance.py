@@ -26,7 +26,7 @@ from shiu.construction import (
     window_reports_to_jsonl,
 )
 from shiu.errors import NotFoundError
-from shiu.search import first_string, verify_string
+from shiu.search import first_string
 from shiu.sieve import APIndex
 from shiu.tuples import is_admissible, make_tuple
 
@@ -160,7 +160,7 @@ def test_6_found_strings_survive_reverification(announce):
         assert strings
         for s in strings:
             assert s.diameter >= (s.m - 1) * s.q
-            assert verify_string(s)
+            assert sympy.primepi(s.start_prime) - 1 == s.start_index
             for p in s.primes:
                 assert sympy.isprime(p)
                 assert p % s.q == s.a % s.q

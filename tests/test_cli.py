@@ -74,6 +74,12 @@ PINNED_OUTPUTS = {
         "c5be75dc3876fb9cc513ad6c1cdb9dced5e26562dace5b584491a12af935a955",
     "--seed-doc":
         "ae5e1dab89df0745ad897d88b85ea039e88a5db6d9e2c6fa9bc2bc00cafad501",
+    "search --q 3 --a 1 --m 2 --cap 100000 --all":
+        "17e254112b6291ddce698e4cfc72380caaad1bf25dcb5770e6023612987f5e3b",
+    "search --q 3 --a 1 --m 2 --cap 100000 --all --maximal-only":
+        "d94247575029713ab3761b34380bab23d60cc3896d527afae929e79000fcc379",
+    "search --q 3 --a 1 --m 4 --cap 100000 --format text":
+        "1fefa3321f29e18367e041fb355a9860dc9c437caab183c26fc11ef28fdb5e17",
 }
 
 
@@ -293,6 +299,30 @@ def test_search_all_stats_csv(capsys):
     assert "at_or_below_reference,23" in lines
 
 
+def test_search_all_stats_csv_pinned(capsys):
+    code, out, err = run(capsys, "search", "--q", "3", "--a", "1", "--m", "2",
+                         "--cap", "100000", "--all", "--format", "csv",
+                         "--reference-b", "30")
+    assert code == 0 and err == ""
+    assert out == (
+        "field,value\n"
+        "count,1915\n"
+        "min_diameter,6\n"
+        "median_diameter,6\n"
+        "max_diameter,54\n"
+        "mean_diameter,11.671\n"
+        "bucket_width,10\n"
+        "bucket_0,965\n"
+        "bucket_10,730\n"
+        "bucket_20,109\n"
+        "bucket_30,97\n"
+        "bucket_40,11\n"
+        "bucket_50,3\n"
+        "reference_b,30\n"
+        "at_or_below_reference,1878\n"
+    )
+
+
 def test_search_not_found(capsys):
     code, out, err = run(capsys, "search", "--q", "3", "--a", "1", "--m", "2",
                          "--cap", "30")
@@ -393,13 +423,18 @@ def test_small_commands_never_import_numpy(tmp_path):
         ("bounds", "--q-min", "3", "--q-max", "8", "--k-min", "2", "--k-max", "6"),
         ("--seed-doc",),
     )
-    for argv in commands:
+    search = ("search", "--q", "3", "--a", "1", "--m", "2", "--cap", "100000",
+              "--all", "--format", "csv")
+    for argv in commands + (search,):
         res = subprocess.run([sys.executable, "-X", "importtime", "-m", "shiu", *argv],
                              capture_output=True, text=True, env=env, check=True)
         imported = {line.rsplit("|", 1)[-1].strip()
                     for line in res.stderr.splitlines() if line.startswith("import time:")}
         assert "shiu.cli" in imported, argv
-        assert not any(name.split(".")[0] == "numpy" for name in imported), argv
+        assert "statistics" not in imported, argv
+        # the run search is the one command that needs numpy
+        if argv is not search:
+            assert not any(name.split(".")[0] == "numpy" for name in imported), argv
 
 
 def test_internal_error_emits_repro_bundle(capsys, monkeypatch):

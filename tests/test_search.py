@@ -7,6 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
+import shiu.search as search
 import shiu.sieve as sieve
 
 from shiu.errors import DomainError, NotFoundError
@@ -18,7 +21,6 @@ from shiu.search import (
     stats_to_csv,
     string_to_dict,
     strings_to_jsonl,
-    verify_string,
 )
 
 from ._oracles import all_strings_oracle, first_string_oracle, simple_sieve
@@ -188,16 +190,32 @@ def test_string_dataclass_validation():
         ShiuString(q=3, a=1, start_index=-1, primes=(7, 13), diameter=6)
 
 
-def test_verify_string_accepts_real_and_rejects_fake():
-    assert verify_string(first_string(3, 1, 3, cap=10**4))
-    # 7 and 13 are congruent but 11 lies between them
-    fake = ShiuString(q=3, a=1, start_index=3, primes=(7, 13), diameter=6)
-    with pytest.raises(DomainError):
-        verify_string(fake)
-    # right primes, wrong claimed position in the prime sequence
-    shifted = ShiuString(q=3, a=1, start_index=9, primes=(31, 37), diameter=6)
-    with pytest.raises(DomainError, match="start_index"):
-        verify_string(shifted)
+@pytest.mark.parametrize("maximal", [False, True])
+@pytest.mark.parametrize("width", [8, 64, 1 << 16])
+def test_all_strings_yields_what_the_validating_constructor_builds(monkeypatch, width, maximal):
+    monkeypatch.setattr(sieve, "SEGMENT_WIDTH", width)
+    seen = 0
+    for q, a, m in [(3, 1, 2), (4, 7, 3), (10, 7, 2)]:
+        for s in all_strings(q, a, m, cap=5000, maximal_only=maximal):
+            assert type(s) is ShiuString
+            assert (s.q, s.a) == (q, a)
+            assert s == ShiuString(q=s.q, a=s.a, start_index=s.start_index,
+                                   primes=s.primes, diameter=s.diameter)
+            seen += 1
+    assert seen > 100
+
+
+@pytest.mark.parametrize("maximal", [False, True])
+@pytest.mark.parametrize("primes", [[7, 19, 13], [7, 13, 13]])
+def test_all_strings_refuses_a_segment_out_of_order(monkeypatch, primes, maximal):
+    # every member is 1 mod 3, so without the segment check the scan would
+    # yield a string that is not strictly increasing, (19, 13) or (13, 13)
+    def shuffled(lo, hi):
+        yield np.array(primes, dtype=np.int64)
+
+    monkeypatch.setattr(search, "_prime_arrays", shuffled)
+    with pytest.raises(DomainError, match="ascending"):
+        next(all_strings(3, 1, 2, cap=100, maximal_only=maximal))
 
 
 class TestDiameterStats:
@@ -237,6 +255,20 @@ class TestDiameterStats:
     def test_mean_is_the_correctly_rounded_mean(self, ds):
         stats = diameter_stats(SimpleNamespace(diameter=d) for d in ds)
         assert stats.mean_diameter == float(statistics.mean(ds))
+
+    @given(st.lists(st.integers(0, 10**30)), st.integers(1, 50), st.integers(-5, 10**30))
+    def test_matches_a_direct_computation(self, ds, width, reference_b):
+        stats = diameter_stats((SimpleNamespace(diameter=d) for d in ds),
+                               bucket_width=width, reference_b=reference_b)
+        hist = {}
+        for d in ds:
+            hist[d // width * width] = hist.get(d // width * width, 0) + 1
+        assert stats.count == len(ds)
+        assert stats.buckets == tuple(sorted(hist.items()))
+        assert stats.at_or_below_reference == sum(d <= reference_b for d in ds)
+        if ds:
+            assert (stats.min_diameter, stats.max_diameter) == (min(ds), max(ds))
+            assert stats.median_diameter == float(statistics.median(ds))
 
     def test_csv_rendering(self):
         s = ShiuString(q=3, a=1, start_index=10, primes=(31, 37), diameter=6)
