@@ -1,84 +1,41 @@
-"""Tuples that force consecutive congruent primes, and tools around them."""
+"""Tuples that force consecutive congruent primes, and tools around them.
 
-from .bounds import (
-    BoundRow,
-    LinnikConfig,
-    ScalingFit,
-    bound_table,
-    measure_b,
-    scaling_fit,
-)
-from .construction import (
-    Construction,
-    ConstructionParams,
-    WindowReport,
-    as_ktuple,
-    build,
-    choose_t,
-    reverify,
-    scan_windows,
-    verify_admissible,
-    verify_isolation,
-)
-from .errors import (
-    DomainError,
-    InternalConsistencyError,
-    NotFoundError,
-    ResourceError,
-    ShiuError,
-)
-from .search import (
-    DiameterStats,
-    ShiuString,
-    all_strings,
-    diameter_stats,
-    first_string,
-)
-from .sieve import APIndex, primes_up_to
-from .tuples import (
-    AdmissibilityReport,
-    KTuple,
-    LinearForm,
-    is_admissible,
-    make_tuple,
-    residue_coverage,
-)
+`import shiu` loads no submodule. Each submodule, and each exported name,
+is imported from its home module on first access (PEP 562), so a command
+pays only for the modules it runs. Names are looked up afresh each time
+rather than cached here, so a home module's current binding always wins.
+"""
+
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "APIndex",
-    "AdmissibilityReport",
-    "BoundRow",
-    "Construction",
-    "ConstructionParams",
-    "DiameterStats",
-    "DomainError",
-    "InternalConsistencyError",
-    "KTuple",
-    "LinearForm",
-    "LinnikConfig",
-    "NotFoundError",
-    "ResourceError",
-    "ScalingFit",
-    "ShiuError",
-    "ShiuString",
-    "WindowReport",
-    "all_strings",
-    "as_ktuple",
-    "bound_table",
-    "build",
-    "choose_t",
-    "diameter_stats",
-    "first_string",
-    "is_admissible",
-    "make_tuple",
-    "measure_b",
-    "primes_up_to",
-    "residue_coverage",
-    "reverify",
-    "scaling_fit",
-    "scan_windows",
-    "verify_admissible",
-    "verify_isolation",
-]
+# submodule -> the names it exports through the package
+_EXPORTS = {
+    "bounds": ("BoundRow", "LinnikConfig", "ScalingFit", "bound_table",
+               "measure_b", "scaling_fit"),
+    "construction": ("Construction", "ConstructionParams", "WindowReport",
+                     "as_ktuple", "build", "choose_t", "reverify",
+                     "scan_windows", "verify_admissible", "verify_isolation"),
+    "errors": ("DomainError", "InternalConsistencyError", "NotFoundError",
+               "ResourceError", "ShiuError"),
+    "primality": (),
+    "search": ("DiameterStats", "ShiuString", "all_strings", "diameter_stats",
+               "first_string"),
+    "sieve": ("APIndex", "primes_up_to"),
+    "tuples": ("AdmissibilityReport", "KTuple", "LinearForm", "is_admissible",
+               "residue_coverage"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    home = name if name in _EXPORTS else _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__ rather than importlib, which -X importtime does not see
+    __import__(f"{__name__}.{home}")
+    module = sys.modules[f"{__name__}.{home}"]
+    return module if home == name else getattr(module, name)

@@ -10,8 +10,6 @@ the empirical growth rate.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from math import ceil, gcd, inf, log
@@ -174,12 +172,10 @@ def _cell(v) -> str:
 
 
 def rows_to_csv(rows: list[BoundRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in rows:
-        writer.writerow([_cell(getattr(r, f)) for f in CSV_HEADER])
-    return buf.getvalue()
+    """Cells are ints, true/false or empty, none of which CSV quotes."""
+    lines = [",".join(CSV_HEADER)]
+    lines += [",".join(_cell(getattr(r, f)) for f in CSV_HEADER) for r in rows]
+    return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows: list[BoundRow]) -> str:

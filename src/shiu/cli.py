@@ -6,6 +6,8 @@ consecutive congruent primes. Identical invocations produce byte-identical
 output; all diagnostics go to stderr as one machine-parsable line. Exit
 statuses: 0 success, 1 bad input or nothing found, 2 resource limits, 3
 internal inconsistency (a bug, reported with a reproduction bundle).
+Each handler imports the modules it runs, so no subcommand pays for
+another's imports.
 """
 
 from __future__ import annotations
@@ -16,33 +18,7 @@ import sys
 from pathlib import Path
 from typing import Iterable
 
-from .bounds import LinnikConfig, bound_table, rows_to_csv, rows_to_json
-from .construction import (
-    ConstructionParams,
-    as_ktuple,
-    build,
-    construction_to_json,
-    reverify,
-    scan_windows,
-    verify_admissible,
-    verify_isolation,
-    window_reports_to_jsonl,
-)
-from .errors import (
-    DomainError,
-    InternalConsistencyError,
-    NotFoundError,
-    ResourceError,
-)
-from .search import (
-    all_strings,
-    diameter_stats,
-    first_string,
-    stats_to_csv,
-    string_to_dict,
-    strings_to_jsonl,
-)
-from .tuples import format_tuple_text
+from .errors import DomainError, InternalConsistencyError, NotFoundError, ResourceError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,6 +116,9 @@ def _pick(args, default: str, allowed: tuple[str, ...]) -> str:
 
 
 def _cmd_construct(args) -> str:
+    from .construction import ConstructionParams, as_ktuple, build, construction_to_json
+    from .tuples import format_tuple_text
+
     c = build(ConstructionParams(q=args.q, a=args.a, k=args.k))
     fmt = _pick(args, "json", ("json", "text"))
     if fmt == "json":
@@ -162,6 +141,8 @@ def _read_cert(path: str) -> dict:
 
 
 def _cmd_verify(args) -> str:
+    from .construction import construction_to_json, reverify
+
     data = _read_cert(args.cert)
     c = reverify(data)
     fmt = _pick(args, "text", ("json", "text"))
@@ -173,6 +154,8 @@ def _cmd_verify(args) -> str:
 
 
 def _cmd_scan(args) -> str:
+    from .construction import reverify, scan_windows, window_reports_to_jsonl
+
     c = reverify(_read_cert(args.cert))
     reports = scan_windows(c, args.n_lo, args.n_hi)
     fmt = _pick(args, "json", ("json", "text"))
@@ -193,19 +176,30 @@ def _cmd_scan(args) -> str:
 
 
 def _cmd_bounds(args) -> str:
+    from .bounds import LinnikConfig, bound_table, rows_to_csv, rows_to_json
+
     rows = bound_table(
         range(args.q_min, args.q_max + 1),
         range(args.k_min, args.k_max + 1),
         a=args.a,
         linnik=LinnikConfig(L=args.L),
     )
-    fmt = _pick(args, "csv", ("json", "csv", "text"))
+    fmt = _pick(args, "csv", ("json", "csv"))
     if fmt == "json":
         return rows_to_json(rows)
     return rows_to_csv(rows)
 
 
 def _cmd_search(args) -> str | Iterable[str]:
+    from .search import (
+        all_strings,
+        diameter_stats,
+        first_string,
+        stats_to_csv,
+        string_to_dict,
+        strings_to_jsonl,
+    )
+
     if not args.emit_all:
         s = first_string(args.q, args.a, args.m, cap=args.cap)
         fmt = _pick(args, "json", ("json", "text"))
@@ -225,6 +219,8 @@ def _cmd_search(args) -> str | Iterable[str]:
 
 
 def _seed_doc() -> str:
+    from .construction import ConstructionParams, build, verify_admissible, verify_isolation
+
     params = ConstructionParams(q=3, a=1, k=5)
     c = build(params)
     report = verify_admissible(c)

@@ -18,6 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
 from math import gcd, prod
+from operator import lt
 
 from .errors import DomainError, InternalConsistencyError, ResourceError
 from .primality import classify_prime
@@ -66,9 +67,9 @@ class Construction:
             raise DomainError("shift must be nonnegative")
         if len(self.offsets) != k:
             raise DomainError(f"expected {k} offsets, got {len(self.offsets)}")
-        if list(self.offsets) != sorted(set(self.offsets)):
+        if not all(map(lt, self.offsets, self.offsets[1:])):
             raise DomainError("offsets must be strictly increasing")
-        if list(self.g_factors) != sorted(set(self.g_factors)):
+        if not all(map(lt, self.g_factors, self.g_factors[1:])):
             raise DomainError("g_factors must be strictly increasing")
         if self.g_factors and self.g_factors[0] < 1:
             raise DomainError("g_factors must be positive")
@@ -148,7 +149,8 @@ def verify_admissible(c: Construction) -> AdmissibilityReport:
     0 is never hit. Disagreement between the two routes is a bug.
     """
     q, res, k = c.params.q, c.params.residue, c.params.k
-    coeff = c.coefficient()
+    tup = as_ktuple(c)  # g*q multiplied out once, for both checks
+    coeff = tup.forms[0].g
     specialized_ok = all(gcd(off, coeff) == 1 for off in c.offsets)
     for p in primes_up_to(k):
         if coeff % p == 0:
@@ -156,7 +158,7 @@ def verify_admissible(c: Construction) -> AdmissibilityReport:
         residues = {off % p for off in c.offsets}
         if 0 in residues or len(residues) >= p:
             specialized_ok = False
-    report = is_admissible(as_ktuple(c))
+    report = is_admissible(tup)
     if report.admissible != specialized_ok:
         raise InternalConsistencyError(
             "specialized and general admissibility checks disagree",

@@ -22,7 +22,6 @@ Neither limit, nor the segment width, changes any result.
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
 from itertools import compress
 from math import gcd, isqrt, log
 from typing import Iterator
@@ -210,9 +209,3 @@ class APIndex:
             )
         target = max(self._height * 2, 8 * self.q)
         self.extend_to(min(target, HEIGHT_CEILING + 1))
-
-    def count_up_to(self, y: int) -> int:
-        """Number of progression primes <= y."""
-        if y >= self._height:
-            self.extend_to(y + 1)
-        return bisect_right(self._members, y)

@@ -65,10 +65,6 @@ class AdmissibilityReport:
     checked_primes: tuple[int, ...]
 
 
-def make_tuple(pairs) -> KTuple:
-    return KTuple(tuple(LinearForm(int(g), int(h)) for g, h in pairs))
-
-
 def residue_coverage(t: KTuple, p: int) -> set[int]:
     """The set {n mod p : prod_i (g_i*n + h_i) = 0 mod p}, computed exactly.
 

@@ -28,7 +28,7 @@ from shiu.construction import (
 from shiu.errors import NotFoundError
 from shiu.search import first_string
 from shiu.sieve import APIndex
-from shiu.tuples import is_admissible, make_tuple
+from shiu.tuples import KTuple, LinearForm, is_admissible
 
 from ._oracles import (
     admissible_oracle,
@@ -76,7 +76,8 @@ def test_1_random_tuples_match_brute_force(announce):
             while len(pairs) < k:
                 pairs.add((rng.randint(1, 50), rng.randint(-200, 200)))
             pairs = sorted(pairs)
-            got = is_admissible(make_tuple(pairs)).admissible
+            forms = KTuple(tuple(LinearForm(g, h) for g, h in pairs))
+            got = is_admissible(forms).admissible
             assert got == admissible_oracle(pairs), f"disagreement on {pairs}"
 
 

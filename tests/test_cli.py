@@ -125,6 +125,14 @@ def test_unsupported_format_exits_one(capsys):
     assert "not available" in err
 
 
+def test_bounds_has_no_text_format(capsys):
+    code, out, err = run(capsys, "bounds", "--q-min", "3", "--q-max", "4",
+                         "--k-min", "2", "--k-max", "3", "--format", "text")
+    assert code == 1 and out == ""
+    assert err == ("error: domain: format 'text' is not available for this "
+                   "subcommand (choose from json, csv)\n")
+
+
 class TestVerify:
     def make_cert(self, capsys, tmp_path, *extra):
         path = tmp_path / "cert.json"
@@ -416,25 +424,30 @@ def test_small_commands_never_import_numpy(tmp_path):
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     cert = tmp_path / "cert.json"
+    # each command, and the modules it must not load: every command but the
+    # run search skips numpy, and none loads another command's module
+    small = {"numpy", "shiu.bounds", "shiu.search"}
     commands = (
-        ("construct", "--q", "3", "--a", "1", "--k", "5", "--output", str(cert)),
-        ("verify", "--cert", str(cert)),
-        ("scan", "--cert", str(cert), "--n-lo", "0", "--n-hi", "3"),
-        ("bounds", "--q-min", "3", "--q-max", "8", "--k-min", "2", "--k-max", "6"),
-        ("--seed-doc",),
+        (("construct", "--q", "3", "--a", "1", "--k", "5", "--output", str(cert)),
+         small | {"csv"}),
+        (("verify", "--cert", str(cert)), small),
+        (("scan", "--cert", str(cert), "--n-lo", "0", "--n-hi", "3"), small),
+        (("bounds", "--q-min", "3", "--q-max", "8", "--k-min", "2", "--k-max", "6"),
+         {"numpy", "shiu.search", "csv"}),
+        (("--seed-doc",), small),
+        (("search", "--q", "3", "--a", "1", "--m", "2", "--cap", "100000",
+          "--all", "--format", "csv"),
+         {"shiu.construction", "shiu.bounds", "shiu.tuples", "decimal"}),
     )
-    search = ("search", "--q", "3", "--a", "1", "--m", "2", "--cap", "100000",
-              "--all", "--format", "csv")
-    for argv in commands + (search,):
+    for argv, forbidden in commands:
         res = subprocess.run([sys.executable, "-X", "importtime", "-m", "shiu", *argv],
                              capture_output=True, text=True, env=env, check=True)
         imported = {line.rsplit("|", 1)[-1].strip()
                     for line in res.stderr.splitlines() if line.startswith("import time:")}
         assert "shiu.cli" in imported, argv
         assert "statistics" not in imported, argv
-        # the run search is the one command that needs numpy
-        if argv is not search:
-            assert not any(name.split(".")[0] == "numpy" for name in imported), argv
+        top_level = {name.split(".")[0] for name in imported}
+        assert not forbidden & (imported | top_level), argv
 
 
 def test_internal_error_emits_repro_bundle(capsys, monkeypatch):

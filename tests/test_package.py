@@ -1,0 +1,41 @@
+"""The package surface: `import shiu` is lazy, and every export resolves."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import shiu
+
+
+@pytest.mark.parametrize("name", shiu.__all__)
+def test_export_is_its_home_module_object(name):
+    obj = getattr(shiu, name)
+    assert obj.__module__.startswith("shiu.")
+    assert getattr(importlib.import_module(obj.__module__), name) is obj
+
+
+@pytest.mark.parametrize("module", ["bounds", "construction", "errors", "primality",
+                                    "search", "sieve", "tuples"])
+def test_submodules_are_attributes(module):
+    assert getattr(shiu, module) is importlib.import_module(f"shiu.{module}")
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'make_tuple'"):
+        shiu.make_tuple
+
+
+def test_import_loads_no_submodule():
+    src = str(Path(shiu.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    res = subprocess.run([sys.executable, "-X", "importtime", "-c", "import shiu"],
+                         capture_output=True, text=True, env=env, check=True)
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in res.stderr.splitlines() if line.startswith("import time:")}
+    assert "shiu" in imported
+    assert not {name for name in imported if name.startswith("shiu.")}

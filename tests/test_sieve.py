@@ -112,12 +112,6 @@ class TestAPIndex:
         idx = APIndex(4, 1)
         assert [idx.nth(i) for i in range(1, 5)] == [5, 13, 17, 29]
 
-    def test_module_level_helpers(self):
-        assert APIndex(3, 1).nth(4) == 31
-        assert APIndex(3, 1).count_up_to(20) == 3
-        assert APIndex(3, 1).count_up_to(6) == 0
-        assert APIndex(4, 1).count_up_to(10) == 1
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
             APIndex(2, 1)
@@ -144,11 +138,6 @@ class TestAPIndex:
             idx = APIndex(q, a)
             for k in range(1, 101):
                 assert idx.nth(k + 1) > q * k
-
-    def test_count_inverts_nth(self):
-        idx = APIndex(5, 2)
-        for n in (1, 2, 7, 25):
-            assert idx.count_up_to(idx.nth(n)) == n
 
     def test_first_extension_is_sized_to_the_query(self, monkeypatch):
         heights = []
@@ -177,11 +166,10 @@ class TestAPIndex:
             # instead of sending nth after members that never come
             idx = APIndex(q, a)
             idx.extend_to(want[-1] + 1)
-            assert idx.count_up_to(want[-1]) == n
+            assert idx._members == want
             assert [idx.nth(i) for i in range(1, n + 1)] == want
             idx = APIndex(q, a)
             assert [idx.nth(i) for i in range(1, n + 1)] == want
-            assert idx.count_up_to(want[-1]) == n
 
     def test_ceiling_error(self, monkeypatch):
         monkeypatch.setattr(sieve, "HEIGHT_CEILING", 5000)

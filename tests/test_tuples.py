@@ -11,7 +11,6 @@ from shiu.tuples import (
     _prime_factors_of,
     format_tuple_text,
     is_admissible,
-    make_tuple,
     residue_coverage,
 )
 
@@ -25,6 +24,10 @@ def distinct_pairs(min_size=1, max_size=8):
     return st.lists(pair, min_size=min_size, max_size=max_size, unique=True)
 
 
+def ktuple(pairs) -> KTuple:
+    return KTuple(tuple(LinearForm(g, h) for g, h in pairs))
+
+
 def test_form_validation():
     with raises(DomainError):
         LinearForm(0, 5)
@@ -35,34 +38,34 @@ def test_form_validation():
 
 def test_tuple_rejects_duplicates_and_empty():
     with raises(DomainError):
-        make_tuple([(2, 1), (2, 1)])
+        ktuple([(2, 1), (2, 1)])
     with raises(DomainError):
         KTuple(())
 
 
 def test_coverage_known_cases():
-    assert residue_coverage(make_tuple([(1, 0), (1, 2)]), 2) == {0}
-    assert residue_coverage(make_tuple([(1, 0), (1, 2), (1, 4)]), 3) == {0, 1, 2}
-    assert residue_coverage(make_tuple([(2, 1), (2, 3)]), 2) == set()
+    assert residue_coverage(ktuple([(1, 0), (1, 2)]), 2) == {0}
+    assert residue_coverage(ktuple([(1, 0), (1, 2), (1, 4)]), 3) == {0, 1, 2}
+    assert residue_coverage(ktuple([(2, 1), (2, 3)]), 2) == set()
 
 
 def test_coverage_rejects_composite_modulus():
     with raises(DomainError):
-        residue_coverage(make_tuple([(1, 0)]), 6)
+        residue_coverage(ktuple([(1, 0)]), 6)
 
 
 def test_admissibility_known_cases():
-    assert is_admissible(make_tuple([(1, 0), (1, 2)])).admissible
-    rep = is_admissible(make_tuple([(1, 0), (1, 2), (1, 4)]))
+    assert is_admissible(ktuple([(1, 0), (1, 2)])).admissible
+    rep = is_admissible(ktuple([(1, 0), (1, 2), (1, 4)]))
     assert not rep.admissible
     assert rep.witness == (3, 3)
-    six = make_tuple([(6, 1), (6, 5), (6, 7), (6, 11), (6, 13), (6, 17)])
+    six = ktuple([(6, 1), (6, 5), (6, 7), (6, 11), (6, 13), (6, 17)])
     assert is_admissible(six).admissible
 
 
 def test_degenerate_form_is_ordinary_inadmissibility():
     # 3 divides both coefficient and constant, so every n is a root mod 3
-    rep = is_admissible(make_tuple([(6, 3), (1, 1)]))
+    rep = is_admissible(ktuple([(6, 3), (1, 1)]))
     assert not rep.admissible
     assert rep.witness == (3, 3)
     assert 3 in rep.checked_primes
@@ -70,26 +73,26 @@ def test_degenerate_form_is_ordinary_inadmissibility():
 
 def test_degenerate_check_set_reaches_past_k():
     # only a prime way above k = 2 makes this one fail
-    rep = is_admissible(make_tuple([(101, 202), (2, 1)]))
+    rep = is_admissible(ktuple([(101, 202), (2, 1)]))
     assert not rep.admissible
     assert rep.witness == (101, 101)
 
 
 @given(distinct_pairs())
 def test_agrees_with_enumeration_oracle(pairs):
-    assert is_admissible(make_tuple(pairs)).admissible == admissible_oracle(pairs)
+    assert is_admissible(ktuple(pairs)).admissible == admissible_oracle(pairs)
 
 
 @given(distinct_pairs(max_size=5), st.integers(min_value=0, max_value=4))
 def test_coverage_agrees_with_enumeration_oracle(pairs, pidx):
     p = trial_primes(11)[pidx]
-    assert residue_coverage(make_tuple(pairs), p) == coverage_oracle(pairs, p)
+    assert residue_coverage(ktuple(pairs), p) == coverage_oracle(pairs, p)
 
 
 @given(distinct_pairs(max_size=6), st.integers(min_value=0, max_value=3))
 def test_coverage_is_bounded(pairs, pidx):
     p = [2, 3, 5, 7][pidx]
-    t = make_tuple(pairs)
+    t = ktuple(pairs)
     cov = residue_coverage(t, p)
     assert cov <= set(range(p))
     if any(g % p == 0 and h % p == 0 for g, h in pairs):
@@ -101,25 +104,25 @@ def test_coverage_is_bounded(pairs, pidx):
 
 @given(distinct_pairs(min_size=2), st.randoms(use_true_random=False))
 def test_permutation_invariance(pairs, rng):
-    verdict = is_admissible(make_tuple(pairs)).admissible
+    verdict = is_admissible(ktuple(pairs)).admissible
     shuffled = list(pairs)
     rng.shuffle(shuffled)
-    assert is_admissible(make_tuple(shuffled)).admissible == verdict
+    assert is_admissible(ktuple(shuffled)).admissible == verdict
 
 
 @settings(max_examples=40)
 @given(distinct_pairs(max_size=5), st.integers(min_value=1, max_value=3))
 def test_translation_by_checked_product_preserves_coverage(pairs, c):
-    t = make_tuple(pairs)
+    t = ktuple(pairs)
     rep = is_admissible(t)
     shift = c * prod(rep.checked_primes) if rep.checked_primes else c
-    moved = make_tuple([(g, h + g * shift) for g, h in pairs])
+    moved = ktuple([(g, h + g * shift) for g, h in pairs])
     for p in rep.checked_primes:
         assert residue_coverage(t, p) == residue_coverage(moved, p)
 
 
 def test_text_format_round_trip_examples():
-    t = make_tuple([(11225610, 7), (11225610, 37), (3, -5)])
+    t = ktuple([(11225610, 7), (11225610, 37), (3, -5)])
     text = format_tuple_text(t)
     assert text == "11225610*x+7\n11225610*x+37\n3*x-5\n"
 
@@ -133,7 +136,7 @@ def test_prime_factors_refuses_a_strong_pseudoprime_cofactor():
     with raises(ResourceError):
         _prime_factors_of(PSI12)
     with raises(ResourceError):
-        is_admissible(make_tuple([(PSI12, PSI12), (1, 2)]))
+        is_admissible(ktuple([(PSI12, PSI12), (1, 2)]))
 
 
 def test_prime_factors_accepts_a_large_prime_cofactor():
