@@ -10,7 +10,6 @@ the empirical growth rate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import ceil, gcd, inf, log
 from typing import NamedTuple
@@ -156,35 +155,3 @@ def scaling_fit(rows: list[BoundRow]) -> ScalingFit:
     return ScalingFit(exponent_q=e_q, exponent_k=e_k,
                       log_constant=float(coef[0]), rms_residual=rms,
                       n_points=len(good))
-
-
-# -- table serialization -------------------------------------------------
-
-CSV_HEADER = ("q", "a", "k", "t", "B", "window_cap", "t_in_window")
-
-
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return str(v)
-
-
-def rows_to_csv(rows: list[BoundRow]) -> str:
-    """Cells are ints, true/false or empty, none of which CSV quotes."""
-    lines = [",".join(CSV_HEADER)]
-    lines += [",".join(_cell(getattr(r, f)) for f in CSV_HEADER) for r in rows]
-    return "\n".join(lines) + "\n"
-
-
-def rows_to_json(rows: list[BoundRow]) -> str:
-    payload = [
-        {
-            "q": r.q, "a": r.a, "k": r.k, "t": r.t, "B": r.B,
-            "window_cap": r.window_cap, "t_in_window": r.t_in_window,
-            "error": r.error,
-        }
-        for r in rows
-    ]
-    return json.dumps(payload, indent=2) + "\n"

@@ -4,19 +4,22 @@ One subcommand per library capability: construct and verify certificates,
 scan windows, tabulate the diameter bound over a grid, and hunt strings of
 consecutive congruent primes. Identical invocations produce byte-identical
 output; all diagnostics go to stderr as one machine-parsable line. Exit
-statuses: 0 success, 1 bad input or nothing found, 2 resource limits, 3
-internal inconsistency (a bug, reported with a reproduction bundle).
-Each handler imports the modules it runs, so no subcommand pays for
-another's imports.
+statuses: 0 success, 1 bad input, nothing found, an unwritable --output or
+a closed stdout pipe, 2 resource limits, 3 internal inconsistency (a bug,
+reported with a reproduction bundle). This module writes every report but
+the certificate, which construction.py both writes and reads, each from the
+record's own fields. Each handler imports the modules it runs, so no
+subcommand pays for another's imports.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import DomainError, InternalConsistencyError, NotFoundError, ResourceError
 
@@ -97,7 +100,11 @@ def _emit(args, out: str | Iterable[str]) -> None:
     chunks = iter((out,) if isinstance(out, str) else out)
     first = next(chunks, "")
     if args.output:
-        with open(args.output, "w") as f:
+        try:
+            f = open(args.output, "w")
+        except OSError as exc:
+            raise DomainError(f"cannot write output {args.output}: {exc}") from exc
+        with f:
             f.write(first)
             f.writelines(chunks)
     else:
@@ -115,15 +122,51 @@ def _pick(args, default: str, allowed: tuple[str, ...]) -> str:
     return fmt
 
 
+_BOUNDS_CSV_FIELDS = ("q", "a", "k", "t", "B", "window_cap", "t_in_window")
+
+
+def _cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(v)
+
+
+def _strings_jsonl(strings) -> Iterator[str]:
+    """One JSON line per string, produced as the strings arrive."""
+    for s in strings:
+        yield json.dumps({"q": s.q, "a": s.a, "m": s.m, "start_prime": s.start_prime,
+                          "primes": s.primes, "diameter": s.diameter}) + "\n"
+
+
+def _stats_csv(stats) -> str:
+    lines = ["field,value"]
+    lines.append(f"count,{stats.count}")
+    if stats.count:
+        lines.append(f"min_diameter,{stats.min_diameter}")
+        lines.append(f"median_diameter,{stats.median_diameter:.6g}")
+        lines.append(f"max_diameter,{stats.max_diameter}")
+        lines.append(f"mean_diameter,{stats.mean_diameter:.6g}")
+    lines.append(f"bucket_width,{stats.bucket_width}")
+    for lo, n in stats.buckets:
+        lines.append(f"bucket_{lo},{n}")
+    if stats.reference_b is not None:
+        lines.append(f"reference_b,{stats.reference_b}")
+        lines.append(f"at_or_below_reference,{stats.at_or_below_reference}")
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_construct(args) -> str:
-    from .construction import ConstructionParams, as_ktuple, build, construction_to_json
-    from .tuples import format_tuple_text
+    from .construction import ConstructionParams, build, construction_to_json
 
     c = build(ConstructionParams(q=args.q, a=args.a, k=args.k))
     fmt = _pick(args, "json", ("json", "text"))
     if fmt == "json":
         return construction_to_json(c, include_g=args.with_g)
-    return format_tuple_text(as_ktuple(c))
+    # every offset is a prime above k >= 2, so each constant is positive
+    coeff = c.coefficient()
+    return "".join(f"{coeff}*x+{h}\n" for h in c.offsets)
 
 
 def _read_cert(path: str) -> dict:
@@ -154,13 +197,14 @@ def _cmd_verify(args) -> str:
 
 
 def _cmd_scan(args) -> str:
-    from .construction import reverify, scan_windows, window_reports_to_jsonl
+    from .construction import reverify, scan_windows
 
     c = reverify(_read_cert(args.cert))
     reports = scan_windows(c, args.n_lo, args.n_hi)
     fmt = _pick(args, "json", ("json", "text"))
     if fmt == "json":
-        return window_reports_to_jsonl(reports)
+        # a dataclass's field order is its key order
+        return "".join(json.dumps(vars(r)) + "\n" for r in reports)
     lines = []
     for r in reports:
         offs = ",".join(str(o) for o in r.prime_offsets)
@@ -176,7 +220,7 @@ def _cmd_scan(args) -> str:
 
 
 def _cmd_bounds(args) -> str:
-    from .bounds import LinnikConfig, bound_table, rows_to_csv, rows_to_json
+    from .bounds import LinnikConfig, bound_table
 
     rows = bound_table(
         range(args.q_min, args.q_max + 1),
@@ -186,25 +230,21 @@ def _cmd_bounds(args) -> str:
     )
     fmt = _pick(args, "csv", ("json", "csv"))
     if fmt == "json":
-        return rows_to_json(rows)
-    return rows_to_csv(rows)
+        return json.dumps([vars(r) for r in rows], indent=2) + "\n"
+    # cells are ints, true/false or empty, none of which CSV quotes
+    lines = [",".join(_BOUNDS_CSV_FIELDS)]
+    lines += [",".join(_cell(getattr(r, f)) for f in _BOUNDS_CSV_FIELDS) for r in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_search(args) -> str | Iterable[str]:
-    from .search import (
-        all_strings,
-        diameter_stats,
-        first_string,
-        stats_to_csv,
-        string_to_dict,
-        strings_to_jsonl,
-    )
+    from .search import all_strings, diameter_stats, first_string
 
     if not args.emit_all:
         s = first_string(args.q, args.a, args.m, cap=args.cap)
         fmt = _pick(args, "json", ("json", "text"))
         if fmt == "json":
-            return json.dumps(string_to_dict(s)) + "\n"
+            return _strings_jsonl((s,))
         primes = ",".join(str(p) for p in s.primes)
         return (f"q={s.q} a={s.a} m={s.m} start_index={s.start_index} "
                 f"diameter={s.diameter} primes={primes}\n")
@@ -212,10 +252,10 @@ def _cmd_search(args) -> str | Iterable[str]:
                          maximal_only=args.maximal_only)
     fmt = _pick(args, "json", ("json", "csv"))
     if fmt == "json":
-        return strings_to_jsonl(stream)
+        return _strings_jsonl(stream)
     stats = diameter_stats(stream, bucket_width=args.bucket_width,
                            reference_b=args.reference_b)
-    return stats_to_csv(stats)
+    return _stats_csv(stats)
 
 
 def _seed_doc() -> str:
@@ -291,11 +331,17 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.seed_doc:
             sys.stdout.write(_seed_doc())
-            return 0
-        if args.subcommand is None:
+        elif args.subcommand is None:
             raise DomainError("a subcommand is required (see --help)")
-        _emit(args, _HANDLERS[args.subcommand](args))
+        else:
+            _emit(args, _HANDLERS[args.subcommand](args))
+        sys.stdout.flush()
         return 0
+    except BrokenPipeError:
+        # the reader closed stdout (say, `| head`); point it at devnull so
+        # the flush at exit does not fail again, as the Python docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except NotFoundError as exc:
         _diagnose("not-found", exc)
         return 1

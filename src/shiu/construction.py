@@ -322,8 +322,8 @@ def construction_from_dict(data: dict) -> Construction:
         g_factors=tuple(data["g_factors"]),
         B=data["B"],
     )
-    g_decimal = data.get("g_decimal")
-    if g_decimal is not None:
+    if "g_decimal" in data:
+        g_decimal = data["g_decimal"]
         if not (isinstance(g_decimal, str) and g_decimal.isascii() and g_decimal.isdigit()):
             raise DomainError("certificate field g_decimal must be a decimal string")
         if g_decimal != _decimal(c.g_value()):
@@ -336,13 +336,12 @@ def reverify(data: dict) -> Construction:
     match, then re-run the admissibility and isolation checks."""
     claimed = construction_from_dict(data)
     rebuilt = build(claimed.params)
-    rebuilt_dict = construction_to_dict(rebuilt, include_g="g_decimal" in data)
-    mismatched = [key for key in rebuilt_dict
-                  if key not in data or data[key] != rebuilt_dict[key]]
-    if mismatched or set(data) != set(rebuilt_dict):
+    # construction_from_dict has checked any g_decimal against g_factors
+    mismatched = [key for key in ("B", "g_factors", "offsets", "t")
+                  if getattr(claimed, key) != getattr(rebuilt, key)]
+    if mismatched:
         raise DomainError(
-            "certificate does not match re-derivation; "
-            f"mismatched fields: {sorted(mismatched or set(data) ^ set(rebuilt_dict))}"
+            f"certificate does not match re-derivation; mismatched fields: {mismatched}"
         )
     report = verify_admissible(rebuilt)
     if not report.admissible:
@@ -352,19 +351,3 @@ def reverify(data: dict) -> Construction:
         )
     verify_isolation(rebuilt)
     return rebuilt
-
-
-def window_report_to_dict(r: WindowReport) -> dict:
-    return {
-        "n": r.n,
-        "prime_offsets": list(r.prime_offsets),
-        "window_prime_count": r.window_prime_count,
-        "degenerate": r.degenerate,
-        "congruence_ok": r.congruence_ok,
-        "isolation_ok": r.isolation_ok,
-        "primality_proven": r.primality_proven,
-    }
-
-
-def window_reports_to_jsonl(reports) -> str:
-    return "".join(json.dumps(window_report_to_dict(r)) + "\n" for r in reports)

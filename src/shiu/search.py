@@ -15,7 +15,6 @@ string without a per-object re-check.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter, lt
@@ -217,37 +216,3 @@ def diameter_stats(
         reference_b=reference_b,
         at_or_below_reference=None if reference_b is None else bisect_right(ds, reference_b),
     )
-
-
-def string_to_dict(s: ShiuString) -> dict:
-    return {
-        "q": s.q,
-        "a": s.a,
-        "m": s.m,
-        "start_prime": s.start_prime,
-        "primes": list(s.primes),
-        "diameter": s.diameter,
-    }
-
-
-def strings_to_jsonl(strings: Iterable[ShiuString]) -> Iterator[str]:
-    """One JSON line per string, produced as the strings arrive."""
-    for s in strings:
-        yield json.dumps(string_to_dict(s)) + "\n"
-
-
-def stats_to_csv(stats: DiameterStats) -> str:
-    lines = ["field,value"]
-    lines.append(f"count,{stats.count}")
-    if stats.count:
-        lines.append(f"min_diameter,{stats.min_diameter}")
-        lines.append(f"median_diameter,{stats.median_diameter:.6g}")
-        lines.append(f"max_diameter,{stats.max_diameter}")
-        lines.append(f"mean_diameter,{stats.mean_diameter:.6g}")
-    lines.append(f"bucket_width,{stats.bucket_width}")
-    for lo, n in stats.buckets:
-        lines.append(f"bucket_{lo},{n}")
-    if stats.reference_b is not None:
-        lines.append(f"reference_b,{stats.reference_b}")
-        lines.append(f"at_or_below_reference,{stats.at_or_below_reference}")
-    return "\n".join(lines) + "\n"

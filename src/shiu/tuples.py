@@ -128,13 +128,3 @@ def is_admissible(t: KTuple) -> AdmissibilityReport:
         if len(covered) == p:
             return AdmissibilityReport(False, (p, len(covered)), tuple(checked))
     return AdmissibilityReport(True, None, tuple(checked))
-
-
-def format_form_text(f: LinearForm) -> str:
-    """One form as "g*x+h" or "g*x-h"."""
-    sign = "+" if f.h >= 0 else "-"
-    return f"{f.g}*x{sign}{abs(f.h)}"
-
-
-def format_tuple_text(t: KTuple) -> str:
-    return "".join(format_form_text(f) + "\n" for f in t.forms)

@@ -23,7 +23,6 @@ from shiu.construction import (
     scan_windows,
     verify_admissible,
     verify_isolation,
-    window_reports_to_jsonl,
 )
 from shiu.errors import NotFoundError
 from shiu.search import first_string
@@ -117,7 +116,7 @@ def test_4_window_scan_is_clean_and_deterministic(announce):
             assert r.primality_proven
             assert set(r.prime_offsets) <= offsets
         again = scan_windows(c, 1, 1000)
-        assert window_reports_to_jsonl(reports) == window_reports_to_jsonl(again)
+        assert reports == again
 
 
 @lru_cache(maxsize=1)

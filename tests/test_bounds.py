@@ -6,14 +6,12 @@ from math import isclose, log
 import pytest
 
 import shiu.sieve as sieve
+from shiu import cli
 from shiu.bounds import (
     BoundRow,
-    CSV_HEADER,
     LinnikConfig,
     bound_table,
     measure_b,
-    rows_to_csv,
-    rows_to_json,
     scaling_fit,
 )
 from shiu.errors import DomainError
@@ -150,28 +148,34 @@ class TestScalingFit:
         assert fit.rms_residual < 10
 
 
+def _bounds(capsys, q_range, k_range, *extra):
+    """stdout of `shiu bounds` over the grid, with a fixed residue a = 1."""
+    argv = ["bounds", "--q-min", str(q_range[0]), "--q-max", str(q_range[-1]),
+            "--k-min", str(k_range[0]), "--k-max", str(k_range[-1]), *extra]
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out
+
+
 class TestSerialization:
-    def test_csv_header_and_booleans(self):
-        text = rows_to_csv([measure_b(3, 1, 5)])
+    def test_csv_header_and_booleans(self, capsys):
+        text = _bounds(capsys, [3], [5], "--a", "1")
         lines = text.splitlines()
         assert lines[0] == "q,a,k,t,B,window_cap,t_in_window"
         assert lines[1] == "3,1,5,0,30,25,true"
 
-    def test_csv_error_rows_have_blank_measurements(self, monkeypatch):
+    def test_csv_error_rows_have_blank_measurements(self, capsys, monkeypatch):
         monkeypatch.setattr(sieve, "HEIGHT_CEILING", 8)
-        row = measure_b(3, 1, 5)
-        lines = rows_to_csv([row]).splitlines()
+        lines = _bounds(capsys, [3], [5], "--a", "1").splitlines()
         assert lines[1] == "3,1,5,,,25,"
 
-    def test_csv_parses_back(self):
+    def test_csv_parses_back(self, capsys):
         rows = bound_table([3, 4], [2, 3])
-        parsed = list(csv.DictReader(io.StringIO(rows_to_csv(rows))))
+        parsed = list(csv.DictReader(io.StringIO(_bounds(capsys, [3, 4], [2, 3]))))
         assert len(parsed) == len(rows)
         assert parsed[0]["q"] == "3"
-        assert set(CSV_HEADER) == set(parsed[0])
+        assert set(parsed[0]) == {"q", "a", "k", "t", "B", "window_cap", "t_in_window"}
 
-    def test_json_mirrors_rows(self):
-        rows = [measure_b(3, 1, 5)]
-        data = json.loads(rows_to_json(rows))
+    def test_json_mirrors_rows(self, capsys):
+        data = json.loads(_bounds(capsys, [3], [5], "--a", "1", "--format", "json"))
         assert data == [{"q": 3, "a": 1, "k": 5, "t": 0, "B": 30,
                          "window_cap": 25, "t_in_window": True, "error": None}]

@@ -17,10 +17,8 @@ from shiu.construction import (
     construction_to_dict,
     construction_to_json,
     scan_windows,
-    window_reports_to_jsonl,
 )
 from shiu.errors import InternalConsistencyError
-from shiu.tuples import format_tuple_text
 
 from ._oracles import trial_primes
 
@@ -44,8 +42,10 @@ def test_construct_text_matches_library(capsys):
                        "--format", "text")
     assert code == 0
     c = build(ConstructionParams(q=3, a=1, k=5))
-    assert out == format_tuple_text(as_ktuple(c))
+    assert out == "".join(f"{f.g}*x+{f.h}\n" for f in as_ktuple(c).forms)
     assert out.splitlines()[0] == "11225610*x+7"
+    assert out == ("11225610*x+7\n11225610*x+13\n11225610*x+19\n"
+                   "11225610*x+31\n11225610*x+37\n")
 
 
 def test_construct_with_g(capsys):
@@ -64,10 +64,16 @@ def test_repeat_runs_are_byte_identical(capsys):
 
 
 # sha256 of stdout at a reference commit: the bytes of these outputs are
-# part of the contract, so any change to them has to be deliberate
+# part of the contract, so any change to them has to be deliberate. {cert}
+# and {cert_g} stand for the (3,1,5) certificate without and with g_decimal;
+# the window n = 1643273200630 lies above 2^64.
 PINNED_OUTPUTS = {
     "bounds --q-min 3 --q-max 30 --k-min 2 --k-max 12 --format csv":
         "24b7001dcca2d8e6ce2ce27f9153bdb40ed2a6cf9881363e92e337c4f7ac09d9",
+    "bounds --q-min 3 --q-max 12 --k-min 2 --k-max 6 --format json":
+        "aea00c3db41ac89f6bdec6c59696a671b2bca7be2a753492440c3b10dc52fe36",
+    "construct --q 3 --a 1 --k 5":
+        "1cbae5731e4b52136c83ee76994e7c5a69abc4af29125e20bfc11e01fd886d37",
     "construct --q 29 --a 1 --k 12 --with-g":
         "9b83943089646f9b6dc5ab6f385f8a38f3c34197734825a041e0ef1900548e98",
     "construct --q 3 --a 1 --k 5 --format text":
@@ -80,12 +86,26 @@ PINNED_OUTPUTS = {
         "d94247575029713ab3761b34380bab23d60cc3896d527afae929e79000fcc379",
     "search --q 3 --a 1 --m 4 --cap 100000 --format text":
         "1fefa3321f29e18367e041fb355a9860dc9c437caab183c26fc11ef28fdb5e17",
+    "search --q 3 --a 1 --m 4 --cap 100000":
+        "8238f10a21a5d613784d83f1118454e9c796fc69ec98752e930cf2a6863c1c7c",
+    "scan --cert {cert} --n-lo 0 --n-hi 40":
+        "66c25fd6e8487572dd9a1a390c220fd7eae88207ffb6c2265be99e9e2aec944d",
+    "scan --cert {cert} --n-lo 0 --n-hi 40 --format text":
+        "d0a11f6f5a4d59a6e8a9eed991575644a31c4e7e0c8c9194ebb4b577c714ea18",
+    "scan --cert {cert} --n-lo 1643273200630 --n-hi 1643273200630 --format text":
+        "cacf28b13eaa2e24e1810c9efd2b8a167122b35d0b1f4780b5131e46a055e887",
+    "verify --cert {cert_g} --format json":
+        "8cf63c712eb30c258b25a8ff522157e806856e2e56c65310baeb43b87d0f4ae8",
 }
 
 
 @pytest.mark.parametrize("argv", sorted(PINNED_OUTPUTS))
-def test_outputs_match_pinned_bytes(capsys, argv):
-    code, out, err = run(capsys, *argv.split())
+def test_outputs_match_pinned_bytes(capsys, tmp_path, argv):
+    certs = {"cert": tmp_path / "cert.json", "cert_g": tmp_path / "cert_g.json"}
+    for name, extra in (("cert", ()), ("cert_g", ("--with-g",))):
+        assert cli.main(["construct", "--q", "3", "--a", "1", "--k", "5",
+                         "--output", str(certs[name]), *extra]) == 0
+    code, out, err = run(capsys, *argv.format(**certs).split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[argv]
 
@@ -97,6 +117,16 @@ def test_output_file_equals_stdout(capsys, tmp_path):
                        "--output", str(out_path))
     assert code == 0 and out == ""
     assert out_path.read_text() == streamed
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_unwritable_output_is_a_domain_error(capsys, tmp_path, where):
+    path = tmp_path / "no" / "x.json" if where == "missing-dir" else tmp_path
+    code, out, err = run(capsys, "construct", "--q", "3", "--a", "1", "--k", "5",
+                         "--output", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: domain: cannot write output {path}: ")
+    assert err.count("\n") == 1
 
 
 def test_gcd_violation_is_a_domain_error(capsys):
@@ -230,7 +260,9 @@ class TestScan:
                            "--n-lo", "1", "--n-hi", "20")
         assert code == 0
         c = build(ConstructionParams(q=3, a=1, k=5))
-        assert out == window_reports_to_jsonl(scan_windows(c, 1, 20))
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {**vars(r), "prime_offsets": list(r.prime_offsets)}
+            for r in scan_windows(c, 1, 20)]
 
     def test_repeat_scans_are_byte_identical(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
@@ -419,10 +451,30 @@ def test_search_all_error_writes_nothing(capsys, tmp_path, extra, want_code, kin
     assert not path.exists()
 
 
-def test_small_commands_never_import_numpy(tmp_path):
+def _subprocess_env():
+    """The environment for `python -m shiu`, with this package on its path."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def test_closed_pipe_exits_one_quietly():
+    # the reader takes one line and goes away, as `| head -n 1` does; the
+    # search still has megabytes to write
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "shiu", "search", "--q", "3", "--a", "1", "--m", "2",
+         "--cap", "10000000", "--all"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env())
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert json.loads(first)["primes"] == [31, 37]
+    assert err == b""
+
+
+def test_small_commands_never_import_numpy(tmp_path):
+    env = _subprocess_env()
     cert = tmp_path / "cert.json"
     # each command, and the modules it must not load: every command but the
     # run search skips numpy, and none loads another command's module

@@ -1,6 +1,6 @@
 import dataclasses
 import json
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sympy import isprime
 
 import shiu.construction as construction
+from shiu import cli
 from shiu.construction import (
     Construction,
     ConstructionParams,
@@ -21,8 +22,6 @@ from shiu.construction import (
     scan_windows,
     verify_admissible,
     verify_isolation,
-    window_report_to_dict,
-    window_reports_to_jsonl,
 )
 import shiu.sieve as sieve
 from shiu.errors import DomainError, InternalConsistencyError, ResourceError
@@ -342,8 +341,11 @@ class TestScanWindows:
             assert r.congruence_ok and r.isolation_ok and r.primality_proven
             assert not r.degenerate
 
-    def test_jsonl_shape(self):
-        lines = window_reports_to_jsonl(scan_windows(self.c, 1, 2)).splitlines()
+    def test_jsonl_shape(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        path.write_text(construction_to_json(self.c))
+        assert cli.main(["scan", "--cert", str(path), "--n-lo", "1", "--n-hi", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2
         first = json.loads(lines[0])
         assert list(first) == ["n", "prime_offsets", "window_prime_count",
@@ -356,7 +358,8 @@ SCAN_CERTS = [(3, 1, 5), (5, 2, 6)]
 
 
 def _scan(c, lo, hi):
-    return [window_report_to_dict(r) for r in scan_windows(c, lo, hi)]
+    return [{**vars(r), "prime_offsets": list(r.prime_offsets)}
+            for r in scan_windows(c, lo, hi)]
 
 
 def _oracle_scan(c, lo, hi):
@@ -452,6 +455,8 @@ class TestCertificates:
         d = construction_to_dict(self.c, include_g=True)
         with pytest.raises(DomainError, match="g_decimal"):
             construction_from_dict({**d, "g_decimal": str(EX_G + 1)})
+        with pytest.raises(DomainError, match="g_decimal must be a decimal string"):
+            construction_from_dict({**d, "g_decimal": None})
 
     def test_reverify_accepts_emitted_certificate(self):
         d = construction_to_dict(self.c, include_g=True)
@@ -471,8 +476,12 @@ class TestCertificates:
             "B": 30,
         }
         construction_from_dict(shifted)  # sanity: parses fine on its own
-        with pytest.raises(DomainError, match="re-derivation"):
+        listed = r"re-derivation; mismatched fields: \['g_factors', 'offsets', 't'\]$"
+        with pytest.raises(DomainError, match=listed):
             reverify(shifted)
+        # a g_decimal true to the shifted g_factors is not listed on its own
+        with pytest.raises(DomainError, match=listed):
+            reverify({**shifted, "g_decimal": str(prod(shifted["g_factors"]))})
 
 
 def test_b_is_positive_multiple_of_q_across_a_sample():

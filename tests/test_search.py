@@ -12,15 +12,13 @@ import numpy as np
 import shiu.search as search
 import shiu.sieve as sieve
 
+from shiu import cli
 from shiu.errors import DomainError, NotFoundError
 from shiu.search import (
     ShiuString,
     all_strings,
     diameter_stats,
     first_string,
-    stats_to_csv,
-    string_to_dict,
-    strings_to_jsonl,
 )
 
 from ._oracles import all_strings_oracle, first_string_oracle, simple_sieve
@@ -270,22 +268,28 @@ class TestDiameterStats:
             assert (stats.min_diameter, stats.max_diameter) == (min(ds), max(ds))
             assert stats.median_diameter == float(statistics.median(ds))
 
-    def test_csv_rendering(self):
-        s = ShiuString(q=3, a=1, start_index=10, primes=(31, 37), diameter=6)
-        text = stats_to_csv(diameter_stats([s], bucket_width=5, reference_b=30))
-        lines = text.splitlines()
+    def test_csv_rendering(self, capsys):
+        # (31, 37) is the one string of 1 mod 3 below 38
+        assert cli.main(["search", "--q", "3", "--a", "1", "--m", "2", "--cap", "38",
+                         "--all", "--format", "csv", "--bucket-width", "5",
+                         "--reference-b", "30"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "field,value"
         assert "count,1" in lines
         assert "bucket_5,1" in lines
         assert "at_or_below_reference,1" in lines
 
 
-def test_jsonl_schema():
+def test_jsonl_schema(capsys):
     s = first_string(4, 1, 2, cap=100)
-    (line,) = strings_to_jsonl([s])
-    assert line.endswith("}\n")
-    data = json.loads(line)
-    assert list(data) == ["q", "a", "m", "start_prime", "primes", "diameter"]
-    assert data == {"q": 4, "a": 1, "m": 2, "start_prime": 13,
-                    "primes": [13, 17], "diameter": 4}
-    assert string_to_dict(s)["m"] == len(s.primes)
+    # the first string alone, and the one string of 1 mod 4 below 18
+    for emit_all in ((), ("--all",)):
+        assert cli.main(["search", "--q", "4", "--a", "1", "--m", "2", "--cap", "18",
+                         *emit_all]) == 0
+        line = capsys.readouterr().out
+        assert line.endswith("}\n") and line.count("\n") == 1
+        data = json.loads(line)
+        assert list(data) == ["q", "a", "m", "start_prime", "primes", "diameter"]
+        assert data == {"q": 4, "a": 1, "m": 2, "start_prime": 13,
+                        "primes": [13, 17], "diameter": 4}
+        assert data["m"] == len(s.primes)

@@ -9,7 +9,6 @@ from shiu.tuples import (
     KTuple,
     LinearForm,
     _prime_factors_of,
-    format_tuple_text,
     is_admissible,
     residue_coverage,
 )
@@ -121,10 +120,18 @@ def test_translation_by_checked_product_preserves_coverage(pairs, c):
         assert residue_coverage(t, p) == residue_coverage(moved, p)
 
 
-def test_text_format_round_trip_examples():
-    t = ktuple([(11225610, 7), (11225610, 37), (3, -5)])
-    text = format_tuple_text(t)
-    assert text == "11225610*x+7\n11225610*x+37\n3*x-5\n"
+def test_text_format_round_trip_examples(capsys):
+    from shiu import cli
+    from shiu.construction import ConstructionParams, as_ktuple, build
+
+    assert cli.main(["construct", "--q", "3", "--a", "1", "--k", "5",
+                     "--format", "text"]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("11225610*x+7\n11225610*x+13\n")
+    assert text.endswith("11225610*x+37\n")
+    forms = tuple(LinearForm(*map(int, line.split("*x+")))
+                  for line in text.splitlines())
+    assert KTuple(forms) == as_ktuple(build(ConstructionParams(q=3, a=1, k=5)))
 
 
 PSI12 = 318665857834031151167461  # 399165290221 * 798330580441
