@@ -6,8 +6,10 @@ consecutive congruent primes. Identical invocations produce byte-identical
 output; all diagnostics go to stderr as one machine-parsable line. Exit
 statuses: 0 success, 1 bad input, nothing found, an unwritable --output or
 a closed stdout pipe, 2 resource limits, 3 internal inconsistency (a bug,
-reported with a reproduction bundle). This module writes every report but
-the certificate, which construction.py both writes and reads, each from the
+reported with a reproduction bundle). Each handler checks its --format
+before any work, so an unavailable format is refused ahead of a bad
+parameter or certificate. This module writes every report but the
+certificate, which construction.py both writes and reads, each from the
 record's own fields. Each handler imports the modules it runs, so no
 subcommand pays for another's imports.
 """
@@ -160,8 +162,8 @@ def _stats_csv(stats) -> str:
 def _cmd_construct(args) -> str:
     from .construction import ConstructionParams, build, construction_to_json
 
-    c = build(ConstructionParams(q=args.q, a=args.a, k=args.k))
     fmt = _pick(args, "json", ("json", "text"))
+    c = build(ConstructionParams(q=args.q, a=args.a, k=args.k))
     if fmt == "json":
         return construction_to_json(c, include_g=args.with_g)
     # every offset is a prime above k >= 2, so each constant is positive
@@ -186,9 +188,9 @@ def _read_cert(path: str) -> dict:
 def _cmd_verify(args) -> str:
     from .construction import construction_to_json, reverify
 
+    fmt = _pick(args, "text", ("json", "text"))
     data = _read_cert(args.cert)
     c = reverify(data)
-    fmt = _pick(args, "text", ("json", "text"))
     if fmt == "json":
         return construction_to_json(c, include_g="g_decimal" in data)
     p = c.params
@@ -199,9 +201,9 @@ def _cmd_verify(args) -> str:
 def _cmd_scan(args) -> str:
     from .construction import reverify, scan_windows
 
+    fmt = _pick(args, "json", ("json", "text"))
     c = reverify(_read_cert(args.cert))
     reports = scan_windows(c, args.n_lo, args.n_hi)
-    fmt = _pick(args, "json", ("json", "text"))
     if fmt == "json":
         # a dataclass's field order is its key order
         return "".join(json.dumps(vars(r)) + "\n" for r in reports)
@@ -222,13 +224,13 @@ def _cmd_scan(args) -> str:
 def _cmd_bounds(args) -> str:
     from .bounds import LinnikConfig, bound_table
 
+    fmt = _pick(args, "csv", ("json", "csv"))
     rows = bound_table(
         range(args.q_min, args.q_max + 1),
         range(args.k_min, args.k_max + 1),
         a=args.a,
         linnik=LinnikConfig(L=args.L),
     )
-    fmt = _pick(args, "csv", ("json", "csv"))
     if fmt == "json":
         return json.dumps([vars(r) for r in rows], indent=2) + "\n"
     # cells are ints, true/false or empty, none of which CSV quotes
@@ -241,16 +243,16 @@ def _cmd_search(args) -> str | Iterable[str]:
     from .search import all_strings, diameter_stats, first_string
 
     if not args.emit_all:
-        s = first_string(args.q, args.a, args.m, cap=args.cap)
         fmt = _pick(args, "json", ("json", "text"))
+        s = first_string(args.q, args.a, args.m, cap=args.cap)
         if fmt == "json":
             return _strings_jsonl((s,))
         primes = ",".join(str(p) for p in s.primes)
         return (f"q={s.q} a={s.a} m={s.m} start_index={s.start_index} "
                 f"diameter={s.diameter} primes={primes}\n")
+    fmt = _pick(args, "json", ("json", "csv"))
     stream = all_strings(args.q, args.a, args.m, cap=args.cap,
                          maximal_only=args.maximal_only)
-    fmt = _pick(args, "json", ("json", "csv"))
     if fmt == "json":
         return _strings_jsonl(stream)
     stats = diameter_stats(stream, bucket_width=args.bucket_width,

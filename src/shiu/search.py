@@ -3,20 +3,24 @@
 The construction promises such runs exist far out; this module looks for the
 ones that occur naturally at small height. A run here is m consecutive
 primes, consecutive in the full prime sequence, all congruent to a mod q.
-The scanner takes the primes one sieve segment at a time as a numpy array,
-finds the length of the matching run ending at each prime with a running
-maximum over the misses, and carries the run still open at the segment's
-end into the next one. Only the strings it yields become Python objects.
+The scanner takes the primes one odd-only sieve segment at a time as a
+numpy array, finds the length of the matching run ending at each prime with
+a running maximum over the misses, and carries the run still open at the
+segment's end into the next one. Only the strings it yields become Python
+objects.
 
 The public ShiuString constructor validates every field. all_strings checks
-its invariants once per segment, in bulk on the array, and then builds each
-string without a per-object re-check.
+its invariants once per segment, in bulk on the array, and then emits that
+segment's strings through one C-level map over numpy-built columns (start
+indices, member tuples, diameters) into _mk, which fills the slots without
+a per-object re-check.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from operator import attrgetter, lt
 from typing import Iterable, Iterator
 
@@ -34,7 +38,7 @@ class ShiuString:
     occupies positions start_index+1 .. start_index+len(primes) in the
     prime sequence. The constructor validates every field; all_strings
     checks its strings in bulk, a segment at a time, and builds them
-    through _checked_string instead.
+    through _mk instead.
     """
 
     q: int
@@ -65,16 +69,19 @@ class ShiuString:
         return self.primes[0]
 
 
-def _checked_string(q: int, a: int, start_index: int, primes: tuple[int, ...],
-                    diameter: int) -> ShiuString:
+# each slot's member descriptor sets it past the frozen __setattr__
+_set_q, _set_a, _set_start, _set_primes, _set_diameter = (
+    ShiuString.__dict__[f].__set__ for f in ("q", "a", "start_index", "primes", "diameter"))
+
+
+def _mk(q: int, a: int, start_index: int, primes: tuple[int, ...], diameter: int) -> ShiuString:
     """A ShiuString whose fields the caller has already checked."""
     s = object.__new__(ShiuString)
-    setslot = object.__setattr__  # bypasses the frozen __setattr__
-    setslot(s, "q", q)
-    setslot(s, "a", a)
-    setslot(s, "start_index", start_index)
-    setslot(s, "primes", primes)
-    setslot(s, "diameter", diameter)
+    _set_q(s, q)
+    _set_a(s, a)
+    _set_start(s, start_index)
+    _set_primes(s, primes)
+    _set_diameter(s, diameter)
     return s
 
 
@@ -129,23 +136,31 @@ def all_strings(
         if maximal_only:
             # a run closes at the prime before each miss
             ends = np.flatnonzero(~hit[1:] & (run[:-1] >= m))
-            starts = ends + 1 - run[ends]
-            vals = primes.tolist()
-            for i, j in zip(starts.tolist(), (ends + 1).tolist()):
-                members = tuple(vals[i:j])
-                yield _checked_string(q, a, offset + i, members, members[-1] - members[0])
+            if len(ends):
+                lengths = run[ends]
+                starts = ends + 1 - lengths
+                # gather only the members: run k fills vals[firsts[k]:stops[k]].
+                # Slices size each tuple exactly; tuple(islice(...)) resizes
+                # each one, which fragmented the heap over a long census.
+                stops = np.cumsum(lengths)
+                firsts = stops - lengths
+                vals = primes[np.arange(stops[-1]) + np.repeat(starts - firsts, lengths)].tolist()
+                rows = map(tuple, map(vals.__getitem__,
+                                      map(slice, firsts.tolist(), stops.tolist())))
+                yield from map(_mk, repeat(q), repeat(a), (starts + offset).tolist(), rows,
+                               (primes[ends] - primes[starts]).tolist())
             keep = int(run[-1])
         else:
             ends = np.flatnonzero(run >= m)  # the carry is too short to hold one
             if len(ends):  # so m <= len(primes), and the gather stays small
                 columns = primes[ends + np.arange(1 - m, 1)[:, None]].tolist()
-                for i, row in zip((ends + offset + 1 - m).tolist(), zip(*columns)):
-                    yield _checked_string(q, a, i, row, row[-1] - row[0])
+                yield from map(_mk, repeat(q), repeat(a), (ends + offset + 1 - m).tolist(),
+                               zip(*columns), (primes[ends] - primes[ends + 1 - m]).tolist())
             keep = min(int(run[-1]), m - 1)
         carry = primes[len(primes) - keep:]
     if maximal_only and len(carry) >= m:
         members = tuple(carry.tolist())
-        yield _checked_string(q, a, before - len(members), members, members[-1] - members[0])
+        yield _mk(q, a, before - len(members), members, members[-1] - members[0])
 
 
 def first_string(q: int, a: int, m: int, *, cap: int = DEFAULT_HEIGHT_CAP) -> ShiuString:

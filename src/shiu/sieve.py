@@ -4,17 +4,20 @@ Everything downstream sits on this module: plain prime enumeration up to a
 height, the lazily extended 1-based index into the primes congruent to a
 fixed residue a modulo q, and check_progression, the one test of which
 (q, a) are accepted. A single loop, _segment_flags, does all the sieving:
-it flags the primes of one interval given the primes up to the square root
-of its end, and those base primes come from the same loop run over
-[2, root]. One private generator hands out each segment as its start and a
-bytearray of primality flags; each consumer takes from the flags only what
-it needs, with itertools.compress and strided slices. numpy is imported
-only by _prime_arrays, which turns each segment's flags into an array of
-its primes several times faster than compress; the run search and
-iter_primes, the bulk stream, read those arrays. Heights are bounded by the
-HEIGHT_CEILING constant so that searches whose termination is only
-guaranteed asymptotically fail cleanly instead of running away, and each
-large allocation is checked against the memory budget in
+it flags the odd primes of one interval given the odd primes up to the
+square root of its end, and those base primes come from the same loop run
+over [3, root]. The sieve is odd-only (Crandall and Pomerance, Prime
+Numbers, section 3.2): a segment keeps one flag per odd number, so each
+byte stands for two integers, and the one even prime, 2, is added apart by
+each consumer. One private generator hands out each segment as its odd
+start and a bytearray of primality flags; each consumer takes from the
+flags only what it needs, with itertools.compress and strided slices.
+numpy is imported only by _prime_arrays, which turns each segment's flags
+into an array of its primes several times faster than compress; the run
+search and iter_primes, the bulk stream, read those arrays. Heights are
+bounded by the HEIGHT_CEILING constant so that searches whose termination
+is only guaranteed asymptotically fail cleanly instead of running away, and
+each large allocation is checked against the memory budget in
 SHIU_SIEVE_BUDGET_MB, or against physical memory when that is unset.
 Neither limit, nor the segment width, changes any result.
 """
@@ -28,7 +31,7 @@ from typing import Iterator
 
 from .errors import DomainError, ResourceError
 
-SEGMENT_WIDTH = 1 << 16  # numbers sieved per segment; results never depend on it
+SEGMENT_WIDTH = 1 << 17  # numbers per segment, one flag per odd one; results never depend on it
 HEIGHT_CEILING = 1 << 40  # hard upper bound on any number examined
 
 
@@ -77,55 +80,65 @@ def check_progression(q: int, a: int) -> None:
 
 
 def _segment_flags(lo: int, hi: int, base: list[int]) -> bytearray:
-    """Flags over [lo, hi): flags[i] set iff lo + i is prime. Requires lo >= 2
-    and base to contain every prime <= isqrt(hi - 1)."""
-    size = hi - lo
+    """Flags over the odd numbers of [lo, hi): flags[i] set iff lo + 2*i is
+    prime. Requires lo odd and >= 3, and base to hold every odd prime
+    <= isqrt(hi - 1) but not 2."""
+    size = (hi - lo + 1) >> 1
     flags = bytearray([1]) * size
     for p in base:
-        if p * p >= hi:
+        pp = p * p
+        if pp >= hi:
             break
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start >= hi:
-            continue
-        flags[start - lo::p] = b"\x00" * ((hi - 1 - start) // p + 1)
+        # the odd multiples of p sit p flags apart; strike from p*p, or from
+        # the first one >= lo, where lo + 2*i = 0 mod p (lo + p is even)
+        i = (pp - lo) >> 1 if pp >= lo else (-(lo + p) >> 1) % p
+        if i < size:
+            flags[i::p] = b"\x00" * ((size - 1 - i) // p + 1)
     return flags
 
 
 def _base_primes(limit: int) -> list[int]:
-    """Every prime <= limit, from one segment over [2, limit] sieved by the
-    primes up to its square root."""
-    if limit < 2:
+    """Every odd prime <= limit, from one segment over [3, limit] sieved by
+    the odd primes up to its square root."""
+    if limit < 3:
         return []
-    flags = _segment_flags(2, limit + 1, _base_primes(isqrt(limit)))
-    return list(compress(range(2, limit + 1), flags))
+    flags = _segment_flags(3, limit + 1, _base_primes(isqrt(limit)))
+    return list(compress(range(3, limit + 1, 2), flags))
 
 
 def _segments(lo: int, hi: int) -> Iterator[tuple[int, bytearray]]:
-    """Yield (seg_lo, flags) for consecutive segments covering [max(lo, 2),
-    hi): flags[i] is 1 iff seg_lo + i is prime. Each bytearray is fresh."""
+    """Yield (seg_lo, flags) for consecutive segments covering the odd
+    numbers of [max(lo, 3), hi): seg_lo is odd, and flags[i] is 1 iff
+    seg_lo + 2*i is prime. Each bytearray is fresh. The one even prime, 2,
+    is in no segment; each consumer adds it apart."""
     _check_height(hi - 1)
-    lo = max(lo, 2)
+    lo = max(lo, 3) | 1
     if hi <= lo:
         return
     base_limit = isqrt(hi - 1)
-    _check_allocation(base_limit + 1)
+    # the base sieve's flags and the list of base primes it keeps
+    _check_allocation((base_limit >> 1) + _prime_list_bytes(base_limit))
     base = _base_primes(base_limit)
+    step = SEGMENT_WIDTH + (SEGMENT_WIDTH & 1)  # even, so every seg_lo is odd
     seg_lo = lo
     while seg_lo < hi:
-        seg_hi = min(seg_lo + SEGMENT_WIDTH, hi)
+        seg_hi = min(seg_lo + step, hi)
         yield seg_lo, _segment_flags(seg_lo, seg_hi, base)
         seg_lo = seg_hi
 
 
 def _prime_arrays(lo: int, hi: int):
-    """Yield the primes of each segment of [lo, hi) as one ascending int64
-    numpy array, possibly empty. numpy is imported when the first array is
-    asked for: per segment its flatnonzero is about six times faster than
-    compress."""
+    """Yield the primes of [lo, hi) as ascending int64 numpy arrays, possibly
+    empty: [2] first when 2 is in range, then one array per segment. numpy
+    is imported when the first array is asked for: per segment its
+    flatnonzero is about six times faster than compress."""
     import numpy as np
 
+    if lo <= 2 < hi:
+        yield np.array([2], dtype=np.int64)
     for seg_lo, flags in _segments(lo, hi):
         primes = np.flatnonzero(np.frombuffer(flags, dtype=np.uint8)).astype(np.int64, copy=False)
+        primes <<= 1
         primes += seg_lo
         yield primes
 
@@ -148,12 +161,12 @@ def primes_up_to(y: int) -> list[int]:
     """All primes in [2, y], ascending, from one unsegmented sieve. Unlike
     iter_primes this materializes the whole list, so the memory budget is
     checked against an upper estimate of its size; that estimate also
-    exceeds the sieve's one byte per number."""
+    exceeds the sieve's one byte per odd number."""
     if y < 0:
         raise DomainError("upper bound must be nonnegative")
     _check_height(y)
     _check_allocation(_prime_list_bytes(y))
-    return _base_primes(y)
+    return [2, *_base_primes(y)] if y >= 2 else []
 
 
 class APIndex:
@@ -193,12 +206,21 @@ class APIndex:
         _check_height(height - 1)
         _check_allocation(_prime_list_bytes(height))
         q, a = self.q, self.a
+        if self._height <= 2 < height:
+            self.primes.append(2)
+            if a == 2:
+                self._members.append(2)
+        # the odd n = a mod q are lcm(2, q) apart: q flags when q is odd,
+        # q/2 when q is even (a is then odd)
+        stride = q if q & 1 else q >> 1
         for seg_lo, flags in _segments(self._height, height):
-            seg_hi = seg_lo + len(flags)
-            self.primes.extend(compress(range(seg_lo, seg_hi), flags))
-            # the integers = a mod q sit at flags[off], flags[off + q], ...
-            off = (a - seg_lo) % q
-            self._members.extend(compress(range(seg_lo + off, seg_hi, q), flags[off::q]))
+            seg_hi = seg_lo + 2 * len(flags)
+            self.primes.extend(compress(range(seg_lo, seg_hi, 2), flags))
+            # the first odd n >= seg_lo with n = a mod q is seg_lo + 2*off
+            d = (a - seg_lo) % q
+            off = (d + q if d & 1 else d) >> 1
+            self._members.extend(
+                compress(range(seg_lo + 2 * off, seg_hi, 2 * stride), flags[off::stride]))
         self._height = height
 
     def _extend(self) -> None:

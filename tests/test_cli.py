@@ -66,7 +66,9 @@ def test_repeat_runs_are_byte_identical(capsys):
 # sha256 of stdout at a reference commit: the bytes of these outputs are
 # part of the contract, so any change to them has to be deliberate. {cert}
 # and {cert_g} stand for the (3,1,5) certificate without and with g_decimal;
-# the window n = 1643273200630 lies above 2^64.
+# the window n = 1643273200630 lies above 2^64. The searches to 3000000 span
+# more than twenty default-width segments, so runs carried across segment
+# boundaries are pinned too.
 PINNED_OUTPUTS = {
     "bounds --q-min 3 --q-max 30 --k-min 2 --k-max 12 --format csv":
         "24b7001dcca2d8e6ce2ce27f9153bdb40ed2a6cf9881363e92e337c4f7ac09d9",
@@ -88,6 +90,14 @@ PINNED_OUTPUTS = {
         "1fefa3321f29e18367e041fb355a9860dc9c437caab183c26fc11ef28fdb5e17",
     "search --q 3 --a 1 --m 4 --cap 100000":
         "8238f10a21a5d613784d83f1118454e9c796fc69ec98752e930cf2a6863c1c7c",
+    "search --q 4 --a 3 --m 3 --cap 3000000 --all":
+        "bae5951addb1222998b418527475d02cccdb7482dbf5389da1fed4129c111fb5",
+    "search --q 4 --a 3 --m 3 --cap 3000000 --all --format csv":
+        "463a3bc9316b78414a24497939b46b0c699f2295c9a9034ccd53bfa9e027b1ae",
+    "search --q 4 --a 3 --m 3 --cap 3000000 --all --maximal-only":
+        "ede8805425ff51887ebd0b63b1aca6ef77c0f3f4297d8eb5027a5e7e3062395a",
+    "search --q 4 --a 3 --m 3 --cap 3000000 --all --maximal-only --format csv":
+        "f9976e1e2f6117e095dbea52fd4248a3aec1043b929884f8ece37a29371fc3e9",
     "scan --cert {cert} --n-lo 0 --n-hi 40":
         "66c25fd6e8487572dd9a1a390c220fd7eae88207ffb6c2265be99e9e2aec944d",
     "scan --cert {cert} --n-lo 0 --n-hi 40 --format text":
@@ -153,6 +163,39 @@ def test_unsupported_format_exits_one(capsys):
                        "--format", "csv")
     assert code == 1
     assert "not available" in err
+
+
+def test_unavailable_format_is_refused_before_the_scan(capsys, tmp_path, monkeypatch):
+    import shiu.construction
+
+    def scan_windows(*args, **kwargs):
+        raise AssertionError("scan_windows ran before the format was checked")
+
+    cert = tmp_path / "cert.json"
+    assert cli.main(["construct", "--q", "3", "--a", "1", "--k", "5",
+                     "--output", str(cert)]) == 0
+    monkeypatch.setattr(shiu.construction, "scan_windows", scan_windows)
+    code, out, err = run(capsys, "scan", "--cert", str(cert), "--n-lo", "1",
+                         "--n-hi", "3", "--format", "csv")
+    assert code == 1 and out == ""
+    assert err.startswith("error: domain: format 'csv' is not available")
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--q", "9", "--a", "3", "--k", "4", "--format", "csv"),
+    ("verify", "--cert", "/nonexistent/cert.json", "--format", "csv"),
+    ("scan", "--cert", "/nonexistent/cert.json", "--n-lo", "1", "--n-hi", "2",
+     "--format", "csv"),
+    ("bounds", "--q-min", "3", "--q-max", "4", "--k-min", "2", "--k-max", "3",
+     "--L", "nan", "--format", "text"),
+    ("search", "--q", "4", "--a", "2", "--m", "2", "--format", "csv"),
+    ("search", "--q", "4", "--a", "2", "--m", "2", "--all", "--format", "text"),
+], ids=["construct", "verify", "scan", "bounds", "search", "search-all"])
+def test_format_error_wins_over_a_parameter_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: domain: format ")
+    assert "is not available" in err
 
 
 def test_bounds_has_no_text_format(capsys):

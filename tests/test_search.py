@@ -149,7 +149,14 @@ def test_all_strings_stops_at_the_segment_holding_its_string(monkeypatch):
     monkeypatch.setattr(sieve, "_segments", counting)
     monkeypatch.setattr(sieve, "SEGMENT_WIDTH", 64)
     assert next(all_strings(3, 1, 3, cap=10**6)).primes == (151, 157, 163)
-    assert sieved == [2, 66, 130]
+    assert sieved == [3, 67, 131]
+
+
+def test_all_strings_drains_to_ten_million_under_a_one_mib_budget(monkeypatch):
+    # the stream holds one segment and the base primes below 3163 at a time
+    monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "1")
+    stream = all_strings(3, 1, 2, cap=10**7)
+    assert sum(1 for _ in stream) == 142910
 
 
 def test_all_strings_with_a_modulus_beyond_int64():

@@ -1,3 +1,6 @@
+import sys
+from math import isqrt
+
 import pytest
 import sympy
 from hypothesis import example, given, settings
@@ -46,6 +49,26 @@ def test_segment_boundary_independence(monkeypatch, width):
     assert list(iter_primes(2, 10**5 + 1)) == primes_up_to(10**5)
 
 
+_TRIAL_500 = trial_primes(500)
+
+
+def test_iter_primes_from_every_low_end_with_odd_and_even_high_ends():
+    # 2 is handled apart from the odd-only flags, so every lo near it, and
+    # either parity of lo and hi, must give the oracle's window
+    for lo in range(401):
+        for hi in (lo, lo + 1, lo + 2, lo + 3, lo + 30, lo + 31, 500):
+            want = [p for p in _TRIAL_500 if lo <= p < hi]
+            assert list(iter_primes(lo, hi)) == want, (lo, hi)
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 8, 64, 1 << 17])
+def test_iter_primes_at_odd_and_even_segment_widths(monkeypatch, width):
+    monkeypatch.setattr(sieve, "SEGMENT_WIDTH", width)
+    want = trial_primes(3000)
+    for lo, hi in [(0, 3001), (2, 3), (3, 4), (4, 2999), (961, 1024), (2000, 2001)]:
+        assert list(iter_primes(lo, hi)) == [p for p in want if lo <= p < hi], (lo, hi)
+
+
 def test_iter_primes_empty_and_reversed_ranges():
     assert list(iter_primes(10, 10)) == []
     assert list(iter_primes(50, 20)) == []
@@ -65,6 +88,25 @@ def test_budget_blocks_large_materialization(monkeypatch):
     monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "1")
     with pytest.raises(ResourceError):
         primes_up_to(10**6)
+
+
+def test_segments_charge_the_base_sieve_they_keep(monkeypatch):
+    charges = []
+    monkeypatch.setattr(sieve, "_check_allocation", charges.append)
+    hi = 10**7
+    for _ in sieve._segments(2, hi):
+        break
+    base = sieve._base_primes(isqrt(hi - 1))
+    # one flag per odd number up to the root, and the list of odd base primes
+    kept = (isqrt(hi - 1) - 1) // 2 + sys.getsizeof(base) + sum(map(sys.getsizeof, base))
+    assert charges and charges[0] >= kept
+
+
+def test_budget_refuses_a_base_sieve_over_it(monkeypatch):
+    monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "1")
+    # the base primes below 2^20 alone take about 3 MiB as a list
+    with pytest.raises(ResourceError):
+        next(iter_primes(1 << 39, 1 << 40))
 
 
 def test_env_budget_validation(monkeypatch):
@@ -170,6 +212,21 @@ class TestAPIndex:
             assert [idx.nth(i) for i in range(1, n + 1)] == want
             idx = APIndex(q, a)
             assert [idx.nth(i) for i in range(1, n + 1)] == want
+
+    # even q puts a member every q/2 flags; (3, 2) starts with the even prime
+    @pytest.mark.parametrize("q,a", [(4, 1), (4, 3), (8, 3), (8, 5), (10, 3), (10, 9),
+                                     (12, 11), (30, 13), (3, 2), (3, 1), (7, 2)])
+    @pytest.mark.parametrize("width", [1, 2, 7, 8, 64, 1 << 17])
+    def test_matches_oracle_at_odd_and_even_widths(self, monkeypatch, q, a, width):
+        want = ap_primes_oracle(q, a, 30)
+        monkeypatch.setattr(sieve, "SEGMENT_WIDTH", width)
+        idx = APIndex(q, a)
+        idx.extend_to(want[-1] + 1)
+        assert idx._members == want
+        assert idx.primes == trial_primes(want[-1])
+        idx = APIndex(q, a)
+        assert [idx.nth(i) for i in range(1, 31)] == want
+        assert idx.primes == trial_primes(idx.primes[-1])
 
     def test_ceiling_error(self, monkeypatch):
         monkeypatch.setattr(sieve, "HEIGHT_CEILING", 5000)
