@@ -87,10 +87,11 @@ def _build_parser() -> _Parser:
                    help="emit every string below the cap, not just the first")
     p.add_argument("--maximal-only", action="store_true",
                    help="with --all, emit whole maximal runs once")
-    p.add_argument("--bucket-width", type=int, default=10,
-                   help="histogram bucket width for --all --format csv")
+    p.add_argument("--bucket-width", type=int, default=None,
+                   help="histogram bucket width for --all --format csv (default 10)")
     p.add_argument("--reference-b", type=int, default=None,
-                   help="also count diameters at or below this value")
+                   help="with --all --format csv, also count diameters at or "
+                        "below this value")
 
     return top
 
@@ -122,6 +123,16 @@ def _pick(args, default: str, allowed: tuple[str, ...]) -> str:
             f"(choose from {', '.join(allowed)})"
         )
     return fmt
+
+
+def _refuse_unused(args, dests: tuple[str, ...], where: str) -> None:
+    """Refuse the first of these search flags that was given, since it
+    would have no effect."""
+    for dest in dests:
+        value = getattr(args, dest)  # None or False when not given; 0 is given
+        if value is not None and value is not False:
+            flag = "--" + dest.replace("_", "-")
+            raise DomainError(f"{flag} has no effect {where}")
 
 
 _BOUNDS_CSV_FIELDS = ("q", "a", "k", "t", "B", "window_cap", "t_in_window")
@@ -244,6 +255,7 @@ def _cmd_search(args) -> str | Iterable[str]:
 
     if not args.emit_all:
         fmt = _pick(args, "json", ("json", "text"))
+        _refuse_unused(args, ("maximal_only", "bucket_width", "reference_b"), "without --all")
         s = first_string(args.q, args.a, args.m, cap=args.cap)
         if fmt == "json":
             return _strings_jsonl((s,))
@@ -251,12 +263,14 @@ def _cmd_search(args) -> str | Iterable[str]:
         return (f"q={s.q} a={s.a} m={s.m} start_index={s.start_index} "
                 f"diameter={s.diameter} primes={primes}\n")
     fmt = _pick(args, "json", ("json", "csv"))
+    if fmt == "json":
+        _refuse_unused(args, ("bucket_width", "reference_b"), "without --format csv")
     stream = all_strings(args.q, args.a, args.m, cap=args.cap,
                          maximal_only=args.maximal_only)
     if fmt == "json":
         return _strings_jsonl(stream)
-    stats = diameter_stats(stream, bucket_width=args.bucket_width,
-                           reference_b=args.reference_b)
+    width = 10 if args.bucket_width is None else args.bucket_width
+    stats = diameter_stats(stream, bucket_width=width, reference_b=args.reference_b)
     return _stats_csv(stats)
 
 

@@ -9,16 +9,18 @@ a running maximum over the misses, and carries the run still open at the
 segment's end into the next one. Only the strings it yields become Python
 objects.
 
-The public ShiuString constructor validates every field. all_strings checks
-its invariants once per segment, in bulk on the array, and then emits that
-segment's strings through one C-level map over numpy-built columns (start
-indices, member tuples, diameters) into _mk, which fills the slots without
-a per-object re-check.
+A ShiuString is a named tuple whose public constructor validates every
+field. all_strings checks its invariants once per segment, in bulk on the
+array, and then builds that segment's strings with one C-level
+map(tuple.__new__, ...) over numpy-built columns (start indices, member
+tuples, diameters): no Python frame and no per-object re-check runs per
+string.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter, lt
@@ -30,35 +32,32 @@ from .sieve import _prime_arrays, check_progression
 DEFAULT_HEIGHT_CAP = 10**8
 
 
-@dataclass(frozen=True, slots=True)
-class ShiuString:
+class ShiuString(namedtuple("ShiuString", "q a start_index primes diameter")):
     """m consecutive primes sharing the residue a mod q.
 
     start_index is the count of primes below the first member, so the run
     occupies positions start_index+1 .. start_index+len(primes) in the
-    prime sequence. The constructor validates every field; all_strings
-    checks its strings in bulk, a segment at a time, and builds them
-    through _mk instead.
+    prime sequence. A ShiuString is a tuple of its five fields: it has
+    length 5, unpacks, and equals the plain tuple of those fields. The
+    constructor validates every field; all_strings checks its strings in
+    bulk, a segment at a time, and builds them with tuple.__new__ instead.
     """
 
-    q: int
-    a: int
-    start_index: int
-    primes: tuple[int, ...]
-    diameter: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_progression(self.q, self.a)
-        if self.start_index < 0:
+    def __new__(cls, q: int, a: int, start_index: int, primes: tuple[int, ...], diameter: int):
+        check_progression(q, a)
+        if start_index < 0:
             raise DomainError("start_index must be nonnegative")
-        if len(self.primes) < 2:
+        if len(primes) < 2:
             raise DomainError("a string needs at least two primes")
-        if not all(map(lt, self.primes, self.primes[1:])):
+        if not all(map(lt, primes, primes[1:])):
             raise DomainError("primes must be strictly increasing")
-        if set(map(self.q.__rmod__, self.primes)) != {self.a % self.q}:
+        if set(map(q.__rmod__, primes)) != {a % q}:
             raise DomainError("every member must be congruent to a mod q")
-        if self.diameter != self.primes[-1] - self.primes[0]:
+        if diameter != primes[-1] - primes[0]:
             raise DomainError("diameter must equal last prime minus first")
+        return super().__new__(cls, q, a, start_index, primes, diameter)
 
     @property
     def m(self) -> int:
@@ -67,22 +66,6 @@ class ShiuString:
     @property
     def start_prime(self) -> int:
         return self.primes[0]
-
-
-# each slot's member descriptor sets it past the frozen __setattr__
-_set_q, _set_a, _set_start, _set_primes, _set_diameter = (
-    ShiuString.__dict__[f].__set__ for f in ("q", "a", "start_index", "primes", "diameter"))
-
-
-def _mk(q: int, a: int, start_index: int, primes: tuple[int, ...], diameter: int) -> ShiuString:
-    """A ShiuString whose fields the caller has already checked."""
-    s = object.__new__(ShiuString)
-    _set_q(s, q)
-    _set_a(s, a)
-    _set_start(s, start_index)
-    _set_primes(s, primes)
-    _set_diameter(s, diameter)
-    return s
 
 
 def all_strings(
@@ -147,20 +130,23 @@ def all_strings(
                 vals = primes[np.arange(stops[-1]) + np.repeat(starts - firsts, lengths)].tolist()
                 rows = map(tuple, map(vals.__getitem__,
                                       map(slice, firsts.tolist(), stops.tolist())))
-                yield from map(_mk, repeat(q), repeat(a), (starts + offset).tolist(), rows,
-                               (primes[ends] - primes[starts]).tolist())
+                yield from map(tuple.__new__, repeat(ShiuString), zip(
+                    repeat(q), repeat(a), (starts + offset).tolist(), rows,
+                    (primes[ends] - primes[starts]).tolist()))
             keep = int(run[-1])
         else:
             ends = np.flatnonzero(run >= m)  # the carry is too short to hold one
             if len(ends):  # so m <= len(primes), and the gather stays small
                 columns = primes[ends + np.arange(1 - m, 1)[:, None]].tolist()
-                yield from map(_mk, repeat(q), repeat(a), (ends + offset + 1 - m).tolist(),
-                               zip(*columns), (primes[ends] - primes[ends + 1 - m]).tolist())
+                yield from map(tuple.__new__, repeat(ShiuString), zip(
+                    repeat(q), repeat(a), (ends + offset + 1 - m).tolist(), zip(*columns),
+                    (primes[ends] - primes[ends + 1 - m]).tolist()))
             keep = min(int(run[-1]), m - 1)
         carry = primes[len(primes) - keep:]
     if maximal_only and len(carry) >= m:
         members = tuple(carry.tolist())
-        yield _mk(q, a, before - len(members), members, members[-1] - members[0])
+        yield tuple.__new__(ShiuString, (q, a, before - len(members), members,
+                                         members[-1] - members[0]))
 
 
 def first_string(q: int, a: int, m: int, *, cap: int = DEFAULT_HEIGHT_CAP) -> ShiuString:

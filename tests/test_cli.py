@@ -406,6 +406,32 @@ def test_search_all_stats_csv_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize("extra, flag, where", [
+    (("--maximal-only",), "--maximal-only", "without --all"),
+    (("--reference-b", "30"), "--reference-b", "without --all"),
+    (("--reference-b", "0"), "--reference-b", "without --all"),
+    (("--bucket-width", "5"), "--bucket-width", "without --all"),
+    (("--format", "text", "--maximal-only"), "--maximal-only", "without --all"),
+    (("--all", "--reference-b", "30"), "--reference-b", "without --format csv"),
+    (("--all", "--maximal-only", "--bucket-width", "5"), "--bucket-width",
+     "without --format csv"),
+    (("--all", "--format", "json", "--bucket-width", "10"), "--bucket-width",
+     "without --format csv"),
+])
+def test_search_refuses_flags_it_would_ignore(capsys, monkeypatch, extra, flag, where):
+    import shiu.search
+
+    def searched(*args, **kwargs):
+        raise AssertionError("the search ran before its flags were checked")
+
+    monkeypatch.setattr(shiu.search, "first_string", searched)
+    monkeypatch.setattr(shiu.search, "all_strings", searched)
+    code, out, err = run(capsys, "search", "--q", "3", "--a", "1", "--m", "2",
+                         "--cap", "1000", *extra)
+    assert code == 1 and out == ""
+    assert err == f"error: domain: {flag} has no effect {where}\n"
+
+
 def test_search_not_found(capsys):
     code, out, err = run(capsys, "search", "--q", "3", "--a", "1", "--m", "2",
                          "--cap", "30")

@@ -1,4 +1,5 @@
 import json
+import pickle
 import statistics
 from math import gcd
 from types import SimpleNamespace
@@ -193,6 +194,54 @@ def test_string_dataclass_validation():
         ShiuString(q=3, a=1, start_index=0, primes=(7, 13), diameter=5)
     with pytest.raises(DomainError):
         ShiuString(q=3, a=1, start_index=-1, primes=(7, 13), diameter=6)
+
+
+def test_string_repr_text():
+    s = ShiuString(q=3, a=1, start_index=10, primes=(31, 37), diameter=6)
+    assert repr(s) == "ShiuString(q=3, a=1, start_index=10, primes=(31, 37), diameter=6)"
+
+
+@pytest.mark.parametrize("field", ["q", "a", "start_index", "primes", "diameter"])
+def test_string_fields_cannot_be_set(field):
+    s = ShiuString(q=3, a=1, start_index=10, primes=(31, 37), diameter=6)
+    with pytest.raises(AttributeError):
+        setattr(s, field, 0)
+    assert s.primes == (31, 37)
+
+
+def test_equal_strings_hash_equal():
+    s = ShiuString(q=3, a=1, start_index=10, primes=(31, 37), diameter=6)
+    t = next(all_strings(3, 1, 2, cap=100))
+    assert s == t and hash(s) == hash(t)
+    assert s != ShiuString(q=3, a=1, start_index=11, primes=(37, 43), diameter=6)
+    assert len({s, t}) == 1
+
+
+@pytest.mark.parametrize("maximal", [False, True])
+def test_strings_survive_a_pickle_round_trip(maximal):
+    strings = list(all_strings(3, 1, 3, cap=2000, maximal_only=maximal))
+    back = pickle.loads(pickle.dumps(strings))
+    assert back == strings
+    assert all(type(s) is ShiuString for s in back)
+    assert [s.m for s in back] == [s.m for s in strings]
+
+
+@pytest.mark.parametrize("maximal", [False, True])
+def test_both_emission_paths_yield_shiu_strings(maximal):
+    # cap 38 leaves the maximal run (31, 37) open at the cap, so with
+    # maximal_only it comes from the emission after the last segment
+    (s,) = all_strings(3, 1, 2, cap=38, maximal_only=maximal)
+    assert type(s) is ShiuString
+    assert s == ShiuString(q=3, a=1, start_index=10, primes=(31, 37), diameter=6)
+
+
+def test_a_string_is_the_tuple_of_its_fields():
+    s = ShiuString(q=3, a=1, start_index=10, primes=(31, 37), diameter=6)
+    assert len(s) == 5
+    q, a, start_index, primes, diameter = s
+    assert (q, a, start_index, primes, diameter) == (3, 1, 10, (31, 37), 6)
+    assert s == (3, 1, 10, (31, 37), 6)
+    assert (s.m, s.start_prime) == (2, 31)
 
 
 @pytest.mark.parametrize("maximal", [False, True])

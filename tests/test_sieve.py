@@ -1,6 +1,7 @@
 import sys
 from math import isqrt
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings
@@ -67,6 +68,10 @@ def test_iter_primes_at_odd_and_even_segment_widths(monkeypatch, width):
     want = trial_primes(3000)
     for lo, hi in [(0, 3001), (2, 3), (3, 4), (4, 2999), (961, 1024), (2000, 2001)]:
         assert list(iter_primes(lo, hi)) == [p for p in want if lo <= p < hi], (lo, hi)
+        # the bulk stream: int64 arrays, each ascending, together the primes
+        arrays = list(sieve._prime_arrays(lo, hi))
+        assert all(a.dtype == np.int64 and (a[1:] > a[:-1]).all() for a in arrays), (lo, hi)
+        assert [p for a in arrays for p in a.tolist()] == [p for p in want if lo <= p < hi]
 
 
 def test_iter_primes_empty_and_reversed_ranges():
