@@ -9,9 +9,11 @@ square root of its end, and those base primes come from the same loop run
 over [3, root]. The sieve is odd-only (Crandall and Pomerance, Prime
 Numbers, section 3.2): a segment keeps one flag per odd number, so each
 byte stands for two integers, and the one even prime, 2, is added apart by
-each consumer. One private generator hands out each segment as its odd
-start and a bytearray of primality flags; each consumer takes from the
-flags only what it needs, with itertools.compress and strided slices.
+each consumer. One private generator sieves four segments at a time as one
+block, so the loop over the base primes runs once per block, and hands out
+each segment of the block as its odd start and a fresh bytearray of
+primality flags; each consumer takes from the flags only what it needs,
+with itertools.compress and strided slices.
 numpy is imported only by _prime_arrays, which reads each segment's flags
 as a bool array and takes its nonzero positions, far faster than compress;
 the run search and iter_primes, the bulk stream, read those arrays. Heights are
@@ -109,22 +111,31 @@ def _base_primes(limit: int) -> list[int]:
 def _segments(lo: int, hi: int) -> Iterator[tuple[int, bytearray]]:
     """Yield (seg_lo, flags) for consecutive segments covering the odd
     numbers of [max(lo, 3), hi): seg_lo is odd, and flags[i] is 1 iff
-    seg_lo + 2*i is prime. Each bytearray is fresh. The one even prime, 2,
-    is in no segment; each consumer adds it apart."""
+    seg_lo + 2*i is prime. Every segment spans SEGMENT_WIDTH numbers (one
+    more when the width is odd) but the last, which ends at hi. Four
+    segments are sieved at a time, as one block, so each base prime is
+    visited once per block; each bytearray yielded is still a fresh copy of
+    one segment's flags. The one even prime, 2, is in no segment; each
+    consumer adds it apart."""
     _check_height(hi - 1)
     lo = max(lo, 3) | 1
     if hi <= lo:
         return
-    base_limit = isqrt(hi - 1)
-    # the base sieve's flags and the list of base primes it keeps
-    _check_allocation((base_limit >> 1) + _prime_list_bytes(base_limit))
-    base = _base_primes(base_limit)
     step = SEGMENT_WIDTH + (SEGMENT_WIDTH & 1)  # even, so every seg_lo is odd
-    seg_lo = lo
-    while seg_lo < hi:
-        seg_hi = min(seg_lo + step, hi)
-        yield seg_lo, _segment_flags(seg_lo, seg_hi, base)
-        seg_lo = seg_hi
+    block = 4 * step
+    base_limit = isqrt(hi - 1)
+    # the base sieve's flags, the list of base primes it keeps and one block's flags
+    _check_allocation((base_limit >> 1) + _prime_list_bytes(base_limit)
+                      + ((min(block, hi - lo) + 1) >> 1))
+    base = _base_primes(base_limit)
+    half = step >> 1  # flags per segment
+    block_lo = lo
+    while block_lo < hi:
+        block_hi = min(block_lo + block, hi)
+        flags = _segment_flags(block_lo, block_hi, base)
+        for i in range(0, len(flags), half):
+            yield block_lo + 2 * i, flags[i:i + half]
+        block_lo = block_hi
 
 
 def _prime_arrays(lo: int, hi: int):

@@ -542,6 +542,20 @@ def test_closed_pipe_exits_one_quietly():
     assert err == b""
 
 
+def test_a_one_mib_budget_changes_no_search_byte():
+    # the run search holds one block of segments at a time, so 1 MiB is
+    # enough to reach 10^7, and the budget must not change the output
+    unbudgeted = _subprocess_env()
+    unbudgeted.pop("SHIU_SIEVE_BUDGET_MB", None)
+    budgeted = {**unbudgeted, "SHIU_SIEVE_BUDGET_MB": "1"}
+    for mode in ((), ("--maximal-only",)):
+        argv = [sys.executable, "-m", "shiu", "search", "--q", "3", "--a", "1", "--m", "2",
+                "--cap", "10000000", "--all", *mode, "--format", "csv"]
+        outs = [subprocess.run(argv, capture_output=True, env=env, check=True).stdout
+                for env in (budgeted, unbudgeted)]
+        assert outs[0] == outs[1], mode
+
+
 def test_small_commands_never_import_numpy(tmp_path):
     env = _subprocess_env()
     cert = tmp_path / "cert.json"

@@ -1,7 +1,7 @@
 import json
 import pickle
 import statistics
-from math import gcd
+from math import gcd, isqrt
 from types import SimpleNamespace
 
 import pytest
@@ -151,6 +151,24 @@ def test_all_strings_stops_at_the_segment_holding_its_string(monkeypatch):
     monkeypatch.setattr(sieve, "SEGMENT_WIDTH", 64)
     assert next(all_strings(3, 1, 3, cap=10**6)).primes == (151, 157, 163)
     assert sieved == [3, 67, 131]
+
+
+def test_first_string_sieves_only_the_block_holding_its_string(monkeypatch):
+    # at width 64 the first block is [3, 259), and 151, 157, 163 lie in it
+    base = sieve._base_primes(isqrt(10**6 - 1))
+    calls = []
+    real = sieve._segment_flags
+
+    def recording(lo, hi, primes):
+        calls.append((lo, hi, primes))
+        return real(lo, hi, primes)
+
+    monkeypatch.setattr(sieve, "_segment_flags", recording)
+    monkeypatch.setattr(sieve, "SEGMENT_WIDTH", 64)
+    assert first_string(3, 1, 3, cap=10**6).primes == (151, 157, 163)
+    # the base sieve runs with the primes below its own root; every call
+    # with the primes below the cap's root sieves the run search's range
+    assert [(lo, hi) for lo, hi, primes in calls if primes == base] == [(3, 259)]
 
 
 def test_all_strings_drains_to_ten_million_under_a_one_mib_budget(monkeypatch):

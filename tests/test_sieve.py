@@ -1,4 +1,5 @@
 import sys
+from itertools import compress
 from math import isqrt
 
 import numpy as np
@@ -16,7 +17,7 @@ from shiu.sieve import (
     primes_up_to,
 )
 
-from ._oracles import ap_primes_oracle, trial_primes
+from ._oracles import ap_primes_oracle, simple_sieve, trial_primes
 
 
 def test_primes_up_to_edge_cases():
@@ -74,6 +75,32 @@ def test_iter_primes_at_odd_and_even_segment_widths(monkeypatch, width):
         assert [p for a in arrays for p in a.tolist()] == [p for p in want if lo <= p < hi]
 
 
+@pytest.mark.parametrize("width", [1, 2, 7, 8, 64, 1 << 17])
+def test_segments_span_the_width_across_block_boundaries(monkeypatch, width):
+    # four segments are sieved as one block, yet each is yielded alone: every
+    # segment but the last spans the width, and the flags mark the primes
+    monkeypatch.setattr(sieve, "SEGMENT_WIDTH", width)
+    step = width + (width & 1)
+    # ends: inside the first segment, mid-segment in the first block, at
+    # the first block's end, and at a segment boundary and mid-segment in
+    # the second block
+    spans = (step // 2 + 1, 3 * step + step // 2 + 1, 4 * step, 5 * step, 6 * step + step // 2 + 1)
+    top = 15 + max(spans)
+    # trial division is too slow for the blocks of the default width
+    want = trial_primes(top) if width <= 64 else simple_sieve(top)
+    for lo in range(3, 16):
+        for hi in (lo + span for span in spans):
+            segments = list(sieve._segments(lo, hi))
+            assert [seg_lo for seg_lo, _ in segments] == list(range(lo | 1, hi, step)), (lo, hi)
+            assert all(type(flags) is bytearray for _, flags in segments)
+            assert all(2 * len(flags) == step for _, flags in segments[:-1]), (lo, hi)
+            seg_lo, flags = segments[-1]
+            assert hi <= seg_lo + 2 * len(flags) <= hi + 1, (lo, hi)
+            got = [n for seg_lo, flags in segments
+                   for n in compress(range(seg_lo, hi, 2), flags)]
+            assert got == [p for p in want if lo <= p < hi], (lo, hi)
+
+
 def test_iter_primes_empty_and_reversed_ranges():
     assert list(iter_primes(10, 10)) == []
     assert list(iter_primes(50, 20)) == []
@@ -112,6 +139,20 @@ def test_budget_refuses_a_base_sieve_over_it(monkeypatch):
     # the base primes below 2^20 alone take about 3 MiB as a list
     with pytest.raises(ResourceError):
         next(iter_primes(1 << 39, 1 << 40))
+
+
+def test_budget_charges_the_block_before_sieving(monkeypatch):
+    # a block of four 2^22-number segments spans all of [3, 10^7): about
+    # 5 MB of flags, refused before anything is sieved
+    calls = []
+    real = sieve._segment_flags
+    monkeypatch.setattr(sieve, "_segment_flags",
+                        lambda lo, hi, base: calls.append((lo, hi)) or real(lo, hi, base))
+    monkeypatch.setattr(sieve, "SEGMENT_WIDTH", 1 << 22)
+    monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "1")
+    with pytest.raises(ResourceError):
+        list(iter_primes(3, 10**7))
+    assert calls == []
 
 
 def test_env_budget_validation(monkeypatch):
