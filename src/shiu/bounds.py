@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .construction import ConstructionParams, build
 from .errors import DomainError, ShiuError
-from .sieve import APIndex
+from .sieve import APIndex, check_progression
 
 DEFAULT_LINNIK_EXPONENT = 5.0
 
@@ -101,8 +101,7 @@ def bound_table(
     pairs = []
     for q in qs:
         for res in (_residues(q) if a is None else [a]):
-            if gcd(res, q) != 1:
-                raise DomainError("gcd(a,q) != 1")
+            check_progression(q, res)
             pairs.append((q, res))
     rows = []
     for q, res in pairs:

@@ -171,14 +171,14 @@ def _stats_csv(stats) -> str:
 
 
 def _cmd_construct(args) -> str:
-    from .construction import ConstructionParams, build, construction_to_json
+    from .construction import ConstructionParams, _decimal, build, construction_to_json
 
     fmt = _pick(args, "json", ("json", "text"))
     c = build(ConstructionParams(q=args.q, a=args.a, k=args.k))
     if fmt == "json":
         return construction_to_json(c, include_g=args.with_g)
     # every offset is a prime above k >= 2, so each constant is positive
-    coeff = c.coefficient()
+    coeff = _decimal(c.coefficient())
     return "".join(f"{coeff}*x+{h}\n" for h in c.offsets)
 
 

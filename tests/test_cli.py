@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,21 @@ def test_construct_text_matches_library(capsys):
     assert out.splitlines()[0] == "11225610*x+7"
     assert out == ("11225610*x+7\n11225610*x+13\n11225610*x+19\n"
                    "11225610*x+31\n11225610*x+37\n")
+
+
+def test_construct_text_past_the_int_str_digit_limit(capsys):
+    # g*q for (997, 1, 3) has about 12,000 digits, more than str(int) writes
+    # by default; the limit stays in force so that the writer must avoid it
+    code, out, err = run(capsys, "construct", "--q", "997", "--a", "1", "--k", "3",
+                         "--format", "text")
+    assert code == 0 and err == ""
+    c = build(ConstructionParams(q=997, a=1, k=3))
+    lines = out.splitlines()
+    assert len(lines) == 3
+    for line, h in zip(lines, c.offsets):
+        coeff, const = line.split("*x+")
+        assert Decimal(coeff) == Decimal(c.coefficient())
+        assert const == str(h)
 
 
 def test_construct_with_g(capsys):
@@ -559,6 +575,14 @@ def test_a_one_mib_budget_changes_no_search_byte():
 def test_small_commands_never_import_numpy(tmp_path):
     env = _subprocess_env()
     cert = tmp_path / "cert.json"
+    # large certificates, so that the whole process is checked where the work
+    # is heavy too: a 2832-bit window at n = 1, a g past the int-string digit
+    # limit, and q = 10007
+    wide, big, iso = (tmp_path / f"{name}.json" for name in ("wide", "big", "iso"))
+    for path, params in ((wide, ("--q", "29", "--k", "12")),
+                         (big, ("--q", "997", "--k", "3", "--with-g")),
+                         (iso, ("--q", "10007", "--k", "3"))):
+        assert cli.main(["construct", *params, "--a", "1", "--output", str(path)]) == 0
     # each command, and the modules it must not load: every command but the
     # run search skips numpy, and none loads another command's module
     small = {"numpy", "shiu.bounds", "shiu.search"}
@@ -567,6 +591,9 @@ def test_small_commands_never_import_numpy(tmp_path):
          small | {"csv"}),
         (("verify", "--cert", str(cert)), small),
         (("scan", "--cert", str(cert), "--n-lo", "0", "--n-hi", "3"), small),
+        (("scan", "--cert", str(wide), "--n-lo", "1", "--n-hi", "1"), small),
+        (("verify", "--cert", str(big)), small),
+        (("verify", "--cert", str(iso)), small),
         (("bounds", "--q-min", "3", "--q-max", "8", "--k-min", "2", "--k-max", "6"),
          {"numpy", "shiu.search", "csv"}),
         (("--seed-doc",), small),

@@ -1,0 +1,45 @@
+"""The experiment scripts, run whole at toy size."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from .test_cli import _subprocess_env
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+# lines each script must print once the wall time that ends some of them is
+# cut off; the power-law fit is left out, since its floats come from lstsq
+EXPECTED = {
+    ("bound_scaling.py", "--q-max", "8", "--k-max", "5"): [
+        "built 80/80 grid cells",
+        "shifts inside the (k-1)*max(k,L)+k window: 80/80",
+    ],
+    ("string_census.py", "3", "1", "100000"): [
+        "strings of consecutive primes congruent to 1 mod 3, below 100000",
+        "m=2: first at 31 (diameter 6), 1915 strings, diameters 6..54 (median 6), "
+        "50% at or below B=6",
+        "m=3: first at 151 (diameter 12), 690 strings, diameters 12..60 (median 18), "
+        "22% at or below B=12",
+        "m=4: first at 1741 (diameter 18), 218 strings, diameters 18..84 (median 36), "
+        "23% at or below B=24",
+        "m=5: first at 1741 (diameter 36), 73 strings, diameters 30..90 (median 48), "
+        "16% at or below B=30",
+        "m=6: first at 1741 (diameter 42), 15 strings, diameters 36..84 (median 60), "
+        "7% at or below B=36",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", sorted(EXPECTED), ids=lambda argv: argv[0])
+def test_script_runs_at_toy_size(argv):
+    res = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+                         capture_output=True, text=True, env=_subprocess_env(), timeout=120)
+    assert res.returncode == 0 and res.stderr == ""
+    lines = [re.sub(r"( in \d+\.\d+s| \(\d+\.\d+s\))$", "", line)
+             for line in res.stdout.splitlines()]
+    for want in EXPECTED[argv]:
+        assert want in lines
