@@ -178,7 +178,7 @@ def _cmd_construct(args) -> str:
     if fmt == "json":
         return construction_to_json(c, include_g=args.with_g)
     # every offset is a prime above k >= 2, so each constant is positive
-    coeff = _decimal(c.coefficient())
+    coeff = _decimal(c.g_factors + (c.params.q,))
     return "".join(f"{coeff}*x+{h}\n" for h in c.offsets)
 
 

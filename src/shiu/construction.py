@@ -9,16 +9,25 @@ form an admissible tuple, and every other integer in the window
 primes the window contains sit at the offsets: they are consecutive primes,
 all congruent to a modulo q, within an interval of length
 B = l_{t+k} - l_{t+1}.
+
+A certificate read back is checked against that definition, not against
+build: reverify sieves once, exactly to the certificate's last offset, and
+reads from that one list the progression members, the least shift and
+every prime g_factor. It never multiplies g out. Admissibility is decided
+on a coefficient that keeps only the g_factors sharing a factor with the
+offsets or with a prime up to k, and isolation on a one-byte-per-integer
+cover of the window. The coefficient is multiplied out only where an
+output holds it, by a product tree.
 """
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from decimal import Decimal
-from math import gcd, prod
-from operator import lt
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, localcontext
+from itertools import compress, filterfalse, repeat
+from math import gcd, log, prod
+from operator import lt, mul
 
 from .errors import DomainError, InternalConsistencyError, ResourceError
 from .primality import classify_prime
@@ -85,12 +94,26 @@ class Construction:
             raise DomainError("B must equal last offset minus first offset")
 
     def g_value(self) -> int:
-        """The coefficient quotient multiplied out (can run to hundreds of digits)."""
-        return prod(self.g_factors)
+        """The coefficient quotient multiplied out (can run to hundreds of
+        thousands of digits), by a product tree."""
+        return _product(self.g_factors)
 
     def coefficient(self) -> int:
         """The common form coefficient g*q."""
         return self.g_value() * self.params.q
+
+
+def _product(xs):
+    """The product of xs by a pairwise tree (Bernstein, "Fast
+    multiplication and its applications", 2008). Operands of like size
+    meet, so the few large multiplications are balanced ones, where a
+    running product multiplies a growing total by one small factor at a
+    time. Works on ints and, under an exact context, on Decimals."""
+    xs = list(xs)
+    while len(xs) > 1:
+        odd = xs[-1:] if len(xs) & 1 else []
+        xs = [*map(mul, xs[::2], xs[1::2]), *odd]
+    return xs[0] if xs else 1
 
 
 def choose_t(idx: APIndex, k: int) -> int:
@@ -147,18 +170,35 @@ def verify_admissible(c: Construction) -> AdmissibilityReport:
     two: a prime p <= k not dividing the coefficient sees the offsets in
     fewer than p classes; since every offset is a prime exceeding k, class
     0 is never hit. Disagreement between the two routes is a bug.
+
+    Both routes run on G' = q * prod{f in g_factors : gcd(f, P) > 1}, with
+    P the product of the primes up to k and of the offsets, not on g*q,
+    and the report (verdict, witness, checked_primes) is the one g*q
+    gives:
+    - a prime p that divides an offset, or is at most k, divides P, so
+      it divides G' exactly when it divides g*q: both coefficients are 0
+      mod p or both are not. These primes are the whole check set of
+      is_admissible, and the whole of what either case looks at;
+    - every form shares the one coefficient, so a p not dividing it
+      covers as many classes as there are distinct offsets mod p, with
+      either coefficient;
+    - the gcd rule keeps exactly the g_factors that can matter, a
+      composite one too, and drops a unit, which changes no product.
     """
     q, res, k = c.params.q, c.params.residue, c.params.k
-    tup = as_ktuple(c)  # g*q multiplied out once, for both checks
-    coeff = tup.forms[0].g
+    small = primes_up_to(k)
+    touch = prod(small) * prod(c.offsets)
+    # the g_factors f with gcd(f, touch) > 1, at C speed
+    coeff = q * _product(compress(c.g_factors,
+                                  map((1).__lt__, map(gcd, c.g_factors, repeat(touch)))))
     specialized_ok = all(gcd(off, coeff) == 1 for off in c.offsets)
-    for p in primes_up_to(k):
+    for p in small:
         if coeff % p == 0:
             continue
         residues = {off % p for off in c.offsets}
         if 0 in residues or len(residues) >= p:
             specialized_ok = False
-    report = is_admissible(tup)
+    report = is_admissible(KTuple(tuple(LinearForm(coeff, h) for h in c.offsets)))
     if report.admissible != specialized_ok:
         raise InternalConsistencyError(
             "specialized and general admissibility checks disagree",
@@ -166,6 +206,47 @@ def verify_admissible(c: Construction) -> AdmissibilityReport:
                      "specialized": specialized_ok, "general": report.admissible},
         )
     return report
+
+
+def _strike(c: Construction, slots, unit=None) -> None:
+    """Over slots[h - first offset], for h from the first offset to the
+    last, write at the multiples of each g_factor f the mark unit[0], or f
+    itself when no unit is given. Factors go largest first, so a slot ends
+    holding the least g_factor dividing its h. A factor that can reach at
+    most one slot, as most of a long certificate's do, writes that slot
+    directly; only the rest pay for a slice."""
+    lo, size = c.offsets[0], len(slots)
+    for f in reversed(c.g_factors):
+        i = -lo % f  # slot of the least multiple of f at or above lo
+        if i + f < size:
+            slots[i::f] = (unit or [f]) * ((size - 1 - i) // f + 1)
+        elif i < size:
+            slots[i] = f if unit is None else unit[0]
+
+
+def _uncovered(c: Construction, h: int) -> InternalConsistencyError:
+    return InternalConsistencyError(
+        "interior value with no blocking factor",
+        context={"q": c.params.q, "a": c.params.residue,
+                 "k": c.params.k, "t": c.t, "h": h},
+    )
+
+
+def _check_cover(c: Construction) -> None:
+    """verify_isolation's check without its pairs: a byte per integer of
+    the window, struck at the multiples of every g_factor, and every slot
+    that is not an offset must be struck."""
+    lo, size = c.offsets[0], c.B + 1
+    # the cover, plus a run of marks for 2 (half its length) and the copy
+    # that slice assignment makes of a bytes run
+    _check_allocation(2 * size)
+    cover = bytearray(size)
+    _strike(c, cover, b"\x01")
+    for off in c.offsets:
+        cover[off - lo] = 1
+    i = cover.find(0)
+    if i >= 0:
+        raise _uncovered(c, lo + i)
 
 
 def verify_isolation(c: Construction) -> list[tuple[int, int]]:
@@ -178,34 +259,28 @@ def verify_isolation(c: Construction) -> list[tuple[int, int]]:
     because the last offset is below the square of the first. Finding none is
     therefore a bug, not an input condition.
 
-    The interval is sieved by the g_factors themselves: each one is written
-    into the slots of its multiples, largest first, so each slot ends up
-    holding the least g_factor dividing it. This holds for any ascending
-    positive g_factors, a 1 or a composite among them. The slot list and
-    the returned pairs are charged to the memory budget before either is
-    built.
+    The interval is sieved by the g_factors themselves (_strike), so each
+    slot ends up holding the least g_factor dividing it. This holds for any
+    ascending positive g_factors, a 1 or a composite among them. The
+    (h, p) pairs are then read off at C speed, through a keep-mask that
+    drops the offsets. The slot list and the returned pairs are charged to
+    the memory budget before either is built. reverify needs no pairs and
+    checks the same cover on one byte per integer instead.
     """
     lo, stop = c.offsets[0], c.offsets[-1] + 1
-    # a pointer per slot, then per interior h a 2-tuple, its int and a list
-    # pointer: about 96 bytes under tracemalloc
-    _check_allocation(8 * (stop - lo) + 96 * (stop - lo - len(c.offsets)))
-    least: list[int | None] = [None] * (stop - lo)
-    for f in reversed(c.g_factors):
-        start = -(-lo // f) * f
-        least[start - lo::f] = [f] * len(range(start, stop, f))
-    chosen = set(c.offsets)
-    blocking: list[tuple[int, int]] = []
-    for h, p in zip(range(lo, stop), least):
-        if h in chosen:
-            continue
-        if p is None:
-            raise InternalConsistencyError(
-                "interior value with no blocking factor",
-                context={"q": c.params.q, "a": c.params.residue,
-                         "k": c.params.k, "t": c.t, "h": h},
-            )
-        blocking.append((h, p))
-    return blocking
+    size = stop - lo
+    # a pointer and a keep byte per slot, then per interior h a 2-tuple, its
+    # int and a list pointer: about 96 bytes under tracemalloc
+    _check_allocation(9 * size + 96 * (size - len(c.offsets)))
+    least: list[int | None] = [None] * size
+    _strike(c, least)
+    keep = bytearray([1]) * size
+    for off in c.offsets:
+        keep[off - lo] = 0
+        least[off - lo] = 0  # an offset needs no blocking factor
+    if None in least:
+        raise _uncovered(c, lo + least.index(None))
+    return list(zip(compress(range(lo, stop), keep), compress(least, keep)))
 
 
 @dataclass(frozen=True)
@@ -284,18 +359,33 @@ def construction_to_dict(c: Construction, *, include_g: bool = False) -> dict:
     out["g_factors"] = list(c.g_factors)
     out["B"] = c.B
     if include_g:
-        out["g_decimal"] = _decimal(c.g_value())
+        out["g_decimal"] = _decimal(c.g_factors)
     return out
 
 
-def _decimal(n: int) -> str:
-    # str(int) refuses more than sys.get_int_max_str_digits() digits; a
-    # Decimal built from an int is exact and prints in full
-    return str(Decimal(n))
+def _decimal(factors) -> str:
+    """The decimal digits of the product of factors. str(int) refuses more
+    than sys.get_int_max_str_digits() digits, and Decimal(int) converts in
+    quadratic time, so the digits are multiplied out as Decimals, by a
+    product tree, in a context wide enough to keep every one."""
+    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX)):
+        return str(_product(map(Decimal, factors)))
 
 
 def construction_to_json(c: Construction, *, include_g: bool = False) -> str:
-    return json.dumps(construction_to_dict(c, include_g=include_g), indent=2) + "\n"
+    """The bytes of json.dumps(construction_to_dict(c, include_g=include_g),
+    indent=2) + "\n", written by join: json's indenting encoder is pure
+    Python, and a long certificate is nearly all one list of ints. Every
+    value is an int, a list of ints or the digit string g_decimal, which
+    needs no escaping."""
+    lines = []
+    for key, value in construction_to_dict(c, include_g=include_g).items():
+        if isinstance(value, list):
+            value = "[\n    " + ",\n    ".join(map(str, value)) + "\n  ]" if value else "[]"
+        elif isinstance(value, str):
+            value = f'"{value}"'
+        lines.append(f'  "{key}": {value}')
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def construction_from_dict(data: dict) -> Construction:
@@ -326,28 +416,68 @@ def construction_from_dict(data: dict) -> Construction:
         g_decimal = data["g_decimal"]
         if not (isinstance(g_decimal, str) and g_decimal.isascii() and g_decimal.isdigit()):
             raise DomainError("certificate field g_decimal must be a decimal string")
-        if g_decimal != _decimal(c.g_value()):
+        if g_decimal != _decimal(c.g_factors):
             raise DomainError("g_decimal does not match the product of g_factors")
     return c
 
 
+def _derives(c: Construction) -> bool:
+    """Whether c is the construction of its (q, a, k), judged from one sieve
+    up to its last offset: its offsets are the progression members at
+    positions t+1 ... t+k; no t' < t passes k < l_{t'+1} and
+    l_{t'+k} < l_{t'+1}^2, and t is within SHIFT_CAP, as choose_t would
+    have it; and g_factors is exactly the primes up to the last offset that
+    are not offsets. B is the last offset minus the first, which
+    Construction already demands.
+
+    A height that the certificate's own length cannot back is not sieved:
+    g_factors and offsets together must be the pi(last) primes up to the
+    last offset, and pi(x) > x / ln x for x >= 17 (Rosser and Schoenfeld,
+    1962). So a certificate with fewer is a mismatch at once, and the sieve
+    never runs past what the input's size pays for.
+    """
+    k, t, last = c.params.k, c.t, c.offsets[-1]
+    if t > SHIFT_CAP or last >= 17 and (len(c.g_factors) + k) * log(last) < last:
+        return False
+    primes = primes_up_to(last)
+    q, res = c.params.q, c.params.residue
+    members = [p for p in primes if p % q == res]
+    chosen = set(c.offsets)
+    return (tuple(members[t:]) == c.offsets
+            and not any(k < members[s] and members[s + k - 1] < members[s] ** 2
+                        for s in range(t))
+            and tuple(filterfalse(chosen.__contains__, primes)) == c.g_factors)
+
+
 def reverify(data: dict) -> Construction:
-    """Re-derive every certificate field from (q, a, k) and demand an exact
-    match, then re-run the admissibility and isolation checks."""
+    """Parse a certificate, check that it is the construction of its
+    (q, a, k), then re-run the admissibility and isolation checks on it.
+
+    _derives checks the certificate against the definition, from one sieve
+    to its own last offset. Only on a mismatch does build re-derive the
+    construction from (q, a, k), to list the fields that differ; if none
+    do, the two derivations disagree, which is a bug. Isolation is checked
+    as a cover of the window, one byte per integer, with no (h, p) pairs.
+    """
     claimed = construction_from_dict(data)
-    rebuilt = build(claimed.params)
-    # construction_from_dict has checked any g_decimal against g_factors
-    mismatched = [key for key in ("B", "g_factors", "offsets", "t")
-                  if getattr(claimed, key) != getattr(rebuilt, key)]
-    if mismatched:
-        raise DomainError(
-            f"certificate does not match re-derivation; mismatched fields: {mismatched}"
+    if not _derives(claimed):
+        rebuilt = build(claimed.params)
+        # construction_from_dict has checked any g_decimal against g_factors
+        mismatched = [key for key in ("B", "g_factors", "offsets", "t")
+                      if getattr(claimed, key) != getattr(rebuilt, key)]
+        if mismatched:
+            raise DomainError(
+                f"certificate does not match re-derivation; mismatched fields: {mismatched}"
+            )
+        raise InternalConsistencyError(
+            "the sieve derivation refused a certificate that build re-derives",
+            context=construction_to_dict(claimed),
         )
-    report = verify_admissible(rebuilt)
+    report = verify_admissible(claimed)
     if not report.admissible:
         raise InternalConsistencyError(
             "re-derived construction is not admissible",
-            context=construction_to_dict(rebuilt),
+            context=construction_to_dict(claimed),
         )
-    verify_isolation(rebuilt)
-    return rebuilt
+    _check_cover(claimed)
+    return claimed

@@ -572,6 +572,21 @@ def test_a_one_mib_budget_changes_no_search_byte():
         assert outs[0] == outs[1], mode
 
 
+def test_large_verify_fits_a_small_budget(tmp_path):
+    # verify of (10007, 1, 3) sieves once to its last offset, 560,393, and
+    # checks isolation on a byte per integer: at most 2.2 MB charged at a
+    # time, where a rebuild and a list of the 320,222 (h, p) pairs took
+    # about 33 MB
+    path = tmp_path / "cert.json"
+    assert cli.main(["construct", "--q", "10007", "--a", "1", "--k", "3",
+                     "--output", str(path)]) == 0
+    res = subprocess.run([sys.executable, "-m", "shiu", "verify", "--cert", str(path)],
+                         capture_output=True, text=True,
+                         env={**_subprocess_env(), "SHIU_SIEVE_BUDGET_MB": "8"})
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout == "ok: certificate re-derived and checked (q=10007 a=1 k=3 t=0 B=320224)\n"
+
+
 def test_small_commands_never_import_numpy(tmp_path):
     env = _subprocess_env()
     cert = tmp_path / "cert.json"

@@ -1,11 +1,12 @@
 import dataclasses
 import json
+from decimal import Decimal
 from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy import isprime
+from sympy import isprime, nextprime
 
 import shiu.construction as construction
 from shiu import cli
@@ -26,9 +27,15 @@ from shiu.construction import (
 import shiu.sieve as sieve
 from shiu.errors import DomainError, InternalConsistencyError, ResourceError
 from shiu.sieve import APIndex
-from shiu.tuples import AdmissibilityReport
+from shiu.tuples import AdmissibilityReport, is_admissible
 
-from ._oracles import blocking_oracle, choose_t_oracle, trial_primes, window_oracle
+from ._oracles import (
+    ap_primes_oracle,
+    blocking_oracle,
+    choose_t_oracle,
+    trial_primes,
+    window_oracle,
+)
 
 # the worked example, every field pinned by independent derivation
 EX_OFFSETS = (7, 13, 19, 31, 37)
@@ -298,6 +305,32 @@ def test_verify_isolation_equals_the_blocking_oracle(dropped, extra, only_extra)
     assert _isolation_outcome(c) == (want if uncovered is None else uncovered)
 
 
+def _cover_outcome(c):
+    try:
+        construction._check_cover(c)
+    except InternalConsistencyError as exc:
+        return exc.context["h"]
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.sampled_from(EX_G_FACTORS)), st.sets(st.sampled_from(_FACTOR_POOL)),
+       st.booleans())
+@example(frozenset(), frozenset(), False)
+@example(frozenset({2}), frozenset(), False)
+@example(frozenset({2}), frozenset({4}), False)
+@example(frozenset(), frozenset({1}), True)
+def test_cover_check_fails_where_verify_isolation_does(dropped, extra, only_extra):
+    # reverify's byte cover and verify_isolation's pairs refuse the same
+    # crippled certificates, at the same h
+    kept = set() if only_extra else set(EX_G_FACTORS) - dropped
+    c = Construction(params=ConstructionParams(q=3, a=1, k=5), t=0,
+                     offsets=EX_OFFSETS, g_factors=tuple(sorted(kept | extra)),
+                     B=EX_OFFSETS[-1] - EX_OFFSETS[0])
+    outcome = _isolation_outcome(c)
+    assert _cover_outcome(c) == (outcome if isinstance(outcome, int) else None)
+
+
 def test_verify_isolation_charges_its_interval_to_the_budget(monkeypatch):
     # no g_factors, so every interior h is uncovered; the one-slot-per-h
     # list over a million integers, and the pairs it would return, about
@@ -499,3 +532,158 @@ def test_build_respects_sieve_ceiling(monkeypatch):
     monkeypatch.setattr(sieve, "HEIGHT_CEILING", 8)
     with pytest.raises(ResourceError):
         build(ConstructionParams(q=3, a=1, k=5))
+
+
+def test_product_tree_equals_a_running_product():
+    for n in (0, 1, 2, 3, 7, 8, 9, 64, 65, 1000):
+        xs = [p for p in trial_primes(8000)][:n]
+        assert construction._product(xs) == prod(xs)
+        assert construction._decimal(xs) == str(Decimal(prod(xs)))
+    c = build(ConstructionParams(q=997, a=1, k=3))
+    g = c.g_value()
+    assert g == prod(c.g_factors) and c.coefficient() == 997 * g
+    # past the int-string digit limit: 12,021 digits
+    assert construction._decimal(c.g_factors) == str(Decimal(g))
+
+
+@st.composite
+def _cells(draw, q_max=30, k_max=12):
+    q = draw(st.integers(3, q_max))
+    a = draw(st.sampled_from([a for a in range(1, q) if gcd(a, q) == 1]))
+    return q, a, draw(st.integers(2, k_max))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_cells())
+@example((3, 1, 5))
+@example((3, 2, 5))
+@example((4, 3, 2))
+def test_reverify_accepts_every_built_certificate(cell):
+    c = build(ConstructionParams(*cell))
+    for include_g in (False, True):
+        text = construction_to_json(c, include_g=include_g)
+        assert text == json.dumps(construction_to_dict(c, include_g=include_g), indent=2) + "\n"
+        assert reverify(json.loads(text)) == c
+
+
+def test_construction_to_json_on_hand_made_certificates():
+    for c in (Construction(params=ConstructionParams(q=3, a=1, k=2), t=0,
+                           offsets=(7, 13), g_factors=(), B=6),
+              Construction(params=ConstructionParams(q=3, a=4, k=2), t=0,
+                           offsets=(7, 13), g_factors=(1, 4, 11), B=6)):
+        for include_g in (False, True):
+            assert construction_to_json(c, include_g=include_g) == json.dumps(
+                construction_to_dict(c, include_g=include_g), indent=2) + "\n"
+
+
+def _tamperings(cert):
+    """Each one-field change to a genuine certificate that still parses."""
+    g, offs = cert["g_factors"], cert["offsets"]
+    last_shifted = offs[:-1] + [offs[-1] + cert["q"]]
+    out = {
+        "drop first factor": {"g_factors": g[1:]},
+        "drop last factor": {"g_factors": g[:-1]},
+        "add a prime": {"g_factors": g + [nextprime(offs[-1])]},
+        "add a composite": {"g_factors": sorted(set(g) | {4})},
+        "add a unit": {"g_factors": [1] + g},
+        "t + 1": {"t": cert["t"] + 1},
+    }
+    if last_shifted[-1] < offs[0] ** 2:
+        out["shift last offset"] = {"offsets": last_shifted, "B": last_shifted[-1] - offs[0]}
+    if cert["t"]:
+        out["t - 1"] = {"t": cert["t"] - 1}
+    return out
+
+
+@pytest.mark.parametrize("cell", [(3, 1, 5), (3, 2, 5), (4, 3, 2), (29, 1, 12), (997, 1, 3)])
+def test_reverify_refuses_every_one_field_tampering(cell):
+    cert = construction_to_dict(build(ConstructionParams(*cell)))
+    for how, change in _tamperings(cert).items():
+        bad = {**cert, **change}
+        # the fields named are exactly the ones changed, build's order
+        changed = [key for key in ("B", "g_factors", "offsets", "t") if bad[key] != cert[key]]
+        with pytest.raises(DomainError) as info:
+            reverify(bad)
+        assert str(info.value) == (
+            f"certificate does not match re-derivation; mismatched fields: {changed}"), how
+    with pytest.raises(DomainError, match="^B must equal last offset minus first offset$"):
+        reverify({**cert, "B": cert["B"] + 1})
+
+
+def test_reverify_refuses_a_height_its_length_cannot_back_without_sieving(monkeypatch):
+    # offsets up to 10^9 with three g_factors: pi(10^9) is over 50 million,
+    # so the certificate is refused before any sieve reaches that height;
+    # build's own sieve of (3, 1, 3) stays small and still runs
+    first, last = 40003, 999999997
+    forged = {"q": 3, "a": 1, "k": 3, "t": 0, "offsets": [first, 500000002, last],
+              "g_factors": [2, 3, 5], "B": last - first}
+    heights = []
+    real = sieve._segment_flags
+
+    def small_only(lo, hi, base):
+        heights.append(hi)
+        if hi > 10**6:
+            raise AssertionError(f"sieved to {hi}")
+        return real(lo, hi, base)
+
+    monkeypatch.setattr(sieve, "_segment_flags", small_only)
+    listed = r"mismatched fields: \['B', 'g_factors', 'offsets'\]$"
+    with pytest.raises(DomainError, match=listed):
+        reverify(forged)
+    assert heights and max(heights) <= 10**6
+
+
+def test_reverify_raises_when_build_disagrees_with_the_sieve(monkeypatch, capsys, tmp_path):
+    # a build that re-derives the tampered certificate leaves no field to
+    # list, so the two derivations disagree: a bug, exit 3
+    cert = construction_to_dict(build(ConstructionParams(q=3, a=1, k=5)))
+    shifted = {"q": 3, "a": 1, "k": 5, "t": 1, "offsets": [13, 19, 31, 37, 43],
+               "g_factors": [2, 3, 5, 7, 11, 17, 23, 29, 41], "B": 30}
+    monkeypatch.setattr(construction, "build",
+                        lambda params: construction_from_dict(shifted))
+    with pytest.raises(InternalConsistencyError):
+        reverify(shifted)
+    assert reverify(cert) == construction_from_dict(cert)  # build is not consulted
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(shifted))
+    assert cli.main(["verify", "--cert", str(path)]) == 3
+    first, bundle = capsys.readouterr().err.splitlines()
+    assert first.startswith("error: internal:")
+    assert json.loads(bundle)["context"]["t"] == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cells())
+def test_verify_admissible_equals_the_full_coefficient_report(cell):
+    c = build(ConstructionParams(*cell))
+    assert verify_admissible(c) == is_admissible(as_ktuple(c))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_verify_admissible_on_hand_made_constructions(data):
+    # runs of progression primes, not always the least, with g_factors from
+    # units, primes, composites and multiples of the offsets, so both
+    # verdicts occur. No offset can share a factor with q: every offset is
+    # a mod q with gcd(a, q) = 1
+    q, a, k = data.draw(_cells(q_max=12, k_max=6))
+    start = data.draw(st.integers(0, 8))
+    offsets = tuple(ap_primes_oracle(q, a, start + k)[start:])
+    if not (k < offsets[0] and offsets[-1] < offsets[0] ** 2):
+        return
+    pool = sorted(({1, 4, 6, 9, 15, 49} | set(range(2, 40))
+                   | {2 * h for h in offsets} | {3 * h for h in offsets}) - set(offsets))
+    g_factors = tuple(sorted(data.draw(st.sets(st.sampled_from(pool), max_size=20))))
+    c = Construction(params=ConstructionParams(q=q, a=a, k=k), t=start, offsets=offsets,
+                     g_factors=g_factors, B=offsets[-1] - offsets[0])
+    assert verify_admissible(c) == is_admissible(as_ktuple(c))
+
+
+def test_verify_admissible_keeps_the_witness_of_a_blocked_offset():
+    # 2 * 13 shares 13 with an offset, so the form 13 vanishes mod 13
+    # everywhere; a unit and a composite factor change nothing else
+    c = build(ConstructionParams(q=3, a=1, k=5))
+    bad = dataclasses.replace(c, g_factors=(1, 2, 3, 4, 5, 11, 17, 23, 26, 29))
+    report = verify_admissible(bad)
+    assert report == is_admissible(as_ktuple(bad))
+    assert report.witness == (13, 13) and not report.admissible
