@@ -27,11 +27,9 @@ def main() -> None:
         range(2, args.k_max + 1),
         linnik=LinnikConfig(L=args.L),
     )
-    good = [r for r in rows if r.error is None]
-    print(f"built {len(good)}/{len(rows)} grid cells in "
-          f"{perf_counter() - t0:.2f}s")
+    print(f"built {len(rows)} grid cells in {perf_counter() - t0:.2f}s")
 
-    fit = scaling_fit(good)
+    fit = scaling_fit(rows)
     print(f"fit over {fit.n_points} points: "
           f"B ~ {exp(fit.log_constant):.3g} * q^{fit.exponent_q:.3f}"
           f" * k^{fit.exponent_k:.3f} (rms residual {fit.rms_residual:.3f})")
@@ -40,16 +38,16 @@ def main() -> None:
         return (fit.log_constant + fit.exponent_q * log(r.q)
                 + fit.exponent_k * log(r.k))
 
-    worst = sorted(good, key=lambda r: abs(log(r.B) - predicted(r)))[-5:]
+    worst = sorted(rows, key=lambda r: abs(log(r.B) - predicted(r)))[-5:]
     print("largest deviations from the fit:")
     for r in reversed(worst):
         ratio = r.B / exp(predicted(r))
         print(f"  q={r.q:3d} a={r.a:3d} k={r.k:3d} t={r.t:3d} "
               f"B={r.B:6d} observed/fitted={ratio:.2f}")
 
-    in_window = sum(r.t_in_window for r in good)
+    in_window = sum(r.t_in_window for r in rows)
     print(f"shifts inside the (k-1)*max(k,L)+k window: "
-          f"{in_window}/{len(good)}")
+          f"{in_window}/{len(rows)}")
 
 
 if __name__ == "__main__":

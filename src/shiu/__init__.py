@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 # submodule -> the names it exports through the package
 _EXPORTS = {
     "bounds": ("BoundRow", "LinnikConfig", "ScalingFit", "bound_table",
-               "measure_b", "scaling_fit"),
+               "scaling_fit"),
     "construction": ("Construction", "ConstructionParams", "WindowReport",
                      "as_ktuple", "build", "choose_t", "reverify",
                      "scan_windows", "verify_admissible", "verify_isolation"),

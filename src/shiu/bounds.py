@@ -4,8 +4,10 @@ B is the diameter of the chosen offsets, so it depends only on where the
 first k usable progression primes sit. The table builder sweeps (q, a, k)
 grids, records B next to the shift t that produced it, and checks t against
 the window suggested by a Linnik-type bound on the least progression prime.
-A small least-squares helper fits log B against log q and log k to expose
-the empirical growth rate.
+A cell that cannot be built ends the sweep with its error, as any command
+fails, so no row is ever left without its measurements. A small
+least-squares helper fits log B against log q and log k to expose the
+empirical growth rate.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from math import ceil, gcd, inf, log
 from typing import NamedTuple
 
 from .construction import ConstructionParams, build
-from .errors import DomainError, ShiuError
+from .errors import DomainError
 from .sieve import APIndex, check_progression
 
 DEFAULT_LINNIK_EXPONENT = 5.0
@@ -43,36 +45,17 @@ class LinnikConfig:
 
 @dataclass(frozen=True)
 class BoundRow:
-    """One grid cell. Rows where the build failed carry error text and None
-    measurements so a sweep never dies half way through."""
+    """One grid cell. error is always None; it is kept only because the
+    bounds JSON carries it."""
 
     q: int
     a: int
     k: int
-    t: int | None
-    B: int | None
+    t: int
+    B: int
     window_cap: int
-    t_in_window: bool | None
-    error: str | None = None
-
-
-def measure_b(
-    q: int,
-    a: int,
-    k: int,
-    *,
-    idx: APIndex | None = None,
-    linnik: LinnikConfig | None = None,
-) -> BoundRow:
-    linnik = linnik or LinnikConfig()
-    cap = linnik.window_cap(k)
-    try:
-        c = build(ConstructionParams(q=q, a=a, k=k), idx=idx)
-    except ShiuError as exc:
-        return BoundRow(q=q, a=a, k=k, t=None, B=None, window_cap=cap,
-                        t_in_window=None, error=str(exc))
-    return BoundRow(q=q, a=a, k=k, t=c.t, B=c.B, window_cap=cap,
-                    t_in_window=c.t <= cap)
+    t_in_window: bool
+    error: None = None
 
 
 def _residues(q: int) -> list[int]:
@@ -88,7 +71,8 @@ def bound_table(
 ) -> list[BoundRow]:
     """Sweep the grid in lexicographic (q, a, k) order. With a=None every
     residue coprime to each q is measured. One progression index is shared
-    across the k column so the sieve work is paid once per (q, a)."""
+    across the k column so the sieve work is paid once per (q, a). Any
+    ShiuError from a cell, a resource limit included, ends the sweep."""
     linnik = linnik or LinnikConfig()
     qs = sorted(set(q_range))
     ks = sorted(set(k_range))
@@ -96,8 +80,6 @@ def bound_table(
         raise DomainError("empty q or k range")
     if any(q < 3 for q in qs):
         raise DomainError("q must be >= 3")
-    if any(k < 2 for k in ks):
-        raise DomainError("k must be >= 2")
     pairs = []
     for q in qs:
         for res in (_residues(q) if a is None else [a]):
@@ -106,7 +88,10 @@ def bound_table(
     rows = []
     for q, res in pairs:
         idx = APIndex(q, res)
-        rows.extend(measure_b(q, res, k, idx=idx, linnik=linnik) for k in ks)
+        for k in ks:
+            c = build(ConstructionParams(q, res, k), idx=idx)
+            cap = linnik.window_cap(k)
+            rows.append(BoundRow(q, res, k, c.t, c.B, cap, c.t <= cap))
     return rows
 
 
@@ -119,15 +104,15 @@ class ScalingFit(NamedTuple):
 
 
 def scaling_fit(rows: list[BoundRow]) -> ScalingFit:
-    """Least squares for log B ~ c + e_q*log q + e_k*log k over the rows that
-    measured successfully. A column with no variation (all q equal, or all k
+    """Least squares for log B ~ c + e_q*log q + e_k*log k over the rows
+    with B > 0. A column with no variation (all q equal, or all k
     equal) is dropped from the design and its exponent reported as 0; with
     both constant there is nothing to fit."""
     import numpy as np  # only here, so that no other command pays for it
 
-    good = [r for r in rows if r.B is not None and r.B > 0]
+    good = [r for r in rows if r.B > 0]
     if len(good) < 2:
-        raise DomainError("need at least two successful rows to fit")
+        raise DomainError("need at least two rows with B > 0 to fit")
     qs = np.array([log(r.q) for r in good])
     ks = np.array([log(r.k) for r in good])
     ys = np.array([log(r.B) for r in good])

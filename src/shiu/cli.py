@@ -139,8 +139,6 @@ _BOUNDS_CSV_FIELDS = ("q", "a", "k", "t", "B", "window_cap", "t_in_window")
 
 
 def _cell(v) -> str:
-    if v is None:
-        return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     return str(v)
@@ -188,11 +186,23 @@ def _read_cert(path: str) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read certificate {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_fields)
     except (ValueError, RecursionError) as exc:
         # ValueError covers bad syntax and integers past the int-string
         # digit limit; RecursionError, nesting deeper than the parser goes
         raise DomainError(f"malformed certificate JSON: {exc}") from exc
+    return data
+
+
+def _unique_fields(pairs: list) -> dict:
+    """A JSON object as a dict, refused if it names a field twice: readers
+    differ on which value wins, so neither may be trusted."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        seen, repeated = set(), set()
+        for key, _ in pairs:
+            (repeated if key in seen else seen).add(key)
+        raise DomainError(f"certificate repeats fields: {sorted(repeated)}")
     return data
 
 
@@ -244,7 +254,7 @@ def _cmd_bounds(args) -> str:
     )
     if fmt == "json":
         return json.dumps([vars(r) for r in rows], indent=2) + "\n"
-    # cells are ints, true/false or empty, none of which CSV quotes
+    # cells are ints or true/false, neither of which CSV quotes
     lines = [",".join(_BOUNDS_CSV_FIELDS)]
     lines += [",".join(_cell(getattr(r, f)) for f in _BOUNDS_CSV_FIELDS) for r in rows]
     return "\n".join(lines) + "\n"

@@ -401,8 +401,8 @@ def construction_from_dict(data: dict) -> Construction:
         if not isinstance(data[key], int) or isinstance(data[key], bool):
             raise DomainError(f"certificate field {key} must be an integer")
     for key in ("offsets", "g_factors"):
-        if not (isinstance(data[key], list)
-                and all(isinstance(v, int) and not isinstance(v, bool) for v in data[key])):
+        # type() is exact, so bool, like any int subclass, is refused
+        if not (isinstance(data[key], list) and set(map(type, data[key])) <= {int}):
             raise DomainError(f"certificate field {key} must be a list of integers")
     params = ConstructionParams(q=data["q"], a=data["a"], k=data["k"])
     c = Construction(

@@ -11,11 +11,9 @@ from shiu.bounds import (
     BoundRow,
     LinnikConfig,
     bound_table,
-    measure_b,
     scaling_fit,
 )
-from shiu.errors import DomainError
-from shiu.sieve import APIndex
+from shiu.errors import DomainError, ResourceError
 
 from ._oracles import choose_t_oracle
 
@@ -46,34 +44,24 @@ def test_linnik_exponent_may_be_a_huge_integer():
     assert LinnikConfig(L=10**400).m_for(3) == 10**400
 
 
-def test_measure_b_worked_examples():
-    row = measure_b(3, 1, 5)
+def test_bound_table_worked_examples():
+    [row] = bound_table([3], [5], a=1)
     assert row == BoundRow(q=3, a=1, k=5, t=0, B=30, window_cap=25,
                            t_in_window=True, error=None)
-    row = measure_b(3, 2, 5)
+    [row] = bound_table([3], [5], a=2)
     assert (row.t, row.B, row.t_in_window) == (2, 30, True)
 
 
-def test_measure_b_materializes_failures(monkeypatch):
+def test_bound_table_raises_a_cell_failure(monkeypatch):
     monkeypatch.setattr(sieve, "HEIGHT_CEILING", 8)
-    row = measure_b(3, 1, 5)
-    assert row.error is not None
-    assert row.t is None and row.B is None
-    assert row.q == 3 and row.window_cap == 25
-
-
-def test_measure_b_refuses_an_index_for_another_progression():
-    row = measure_b(4, 1, 3, idx=APIndex(8, 1))
-    assert row.t is None and row.B is None
-    assert "index" in row.error
-    assert measure_b(4, 1, 3, idx=APIndex(4, 1)).B == 12
+    with pytest.raises(ResourceError, match="only 1 primes = 1 mod 3 below the ceiling 8"):
+        bound_table([3], [5], a=1)
 
 
 def test_bound_table_cardinalities():
     assert len(bound_table([3], range(2, 7), a=1)) == 5
     assert len(bound_table([3, 4, 5], [5])) == 8
-    single = bound_table([3], [5], a=1)
-    assert single == [measure_b(3, 1, 5)]
+    assert bound_table([3, 4], [3], a=1) == [bound_table([q], [3], a=1)[0] for q in (3, 4)]
 
 
 def test_bound_table_order_is_lexicographic():
@@ -89,15 +77,20 @@ def test_bound_table_determinism():
     assert bound_table(range(3, 9), range(2, 6)) == base
 
 
-def test_bound_table_input_validation():
+def test_bound_table_input_validation(monkeypatch):
+    def no_sieve(lo, hi, base):
+        raise AssertionError(f"sieved [{lo}, {hi})")
+
+    # every refusal comes before any sieving; k = 1 at the first cell
+    monkeypatch.setattr(sieve, "_segment_flags", no_sieve)
     with pytest.raises(DomainError):
         bound_table([], [2])
     with pytest.raises(DomainError):
         bound_table([3], [])
     with pytest.raises(DomainError):
         bound_table([2], [2])
-    with pytest.raises(DomainError):
-        bound_table([3], [1])
+    with pytest.raises(DomainError, match="k must be >= 2"):
+        bound_table(range(3, 30), range(1, 5))
     with pytest.raises(DomainError):
         bound_table([4], [2], a=2)
 
@@ -135,12 +128,6 @@ class TestScalingFit:
         with pytest.raises(DomainError):
             scaling_fit([self._row(3, 2, 10)])
 
-    def test_error_rows_are_excluded(self):
-        rows = [self._row(3, 2, 10), self._row(3, 4, 30),
-                BoundRow(q=5, a=1, k=2, t=None, B=None, window_cap=10,
-                         t_in_window=None, error="boom")]
-        assert scaling_fit(rows).n_points == 2
-
     def test_fit_completes_on_real_grid(self):
         fit = scaling_fit(bound_table(range(3, 15), range(2, 8)))
         assert fit.n_points == 372
@@ -163,10 +150,24 @@ class TestSerialization:
         assert lines[0] == "q,a,k,t,B,window_cap,t_in_window"
         assert lines[1] == "3,1,5,0,30,25,true"
 
-    def test_csv_error_rows_have_blank_measurements(self, capsys, monkeypatch):
+    @staticmethod
+    def _exits_two(capsys, argv, err):
+        for fmt in ("csv", "json"):
+            assert cli.main(["bounds", *argv, "--format", fmt]) == 2
+            assert capsys.readouterr() == ("", f"error: resource: {err}\n")
+
+    def test_a_cell_failure_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr(sieve, "HEIGHT_CEILING", 8)
-        lines = _bounds(capsys, [3], [5], "--a", "1").splitlines()
-        assert lines[1] == "3,1,5,,,25,"
+        self._exits_two(capsys, ["--q-min", "3", "--q-max", "3", "--a", "1",
+                                 "--k-min", "5", "--k-max", "5"],
+                        "only 1 primes = 1 mod 3 below the ceiling 8")
+
+    def test_a_sieve_budget_exits_two(self, capsys, monkeypatch):
+        # at the q = 100003 cell the first extension of the index is over 1 MiB
+        monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "1")
+        self._exits_two(capsys, ["--q-min", "100003", "--q-max", "100003", "--a", "1",
+                                 "--k-min", "2", "--k-max", "3"],
+                        "sieve needs 3060600 bytes, over the 1048576 byte budget")
 
     def test_csv_parses_back(self, capsys):
         rows = bound_table([3, 4], [2, 3])

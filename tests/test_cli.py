@@ -310,6 +310,21 @@ def test_unparseable_certificate_is_a_domain_error(capsys, tmp_path, content, ar
     assert err.startswith("error: domain:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify",), ("scan", "--n-lo", "1", "--n-hi", "1"),
+], ids=["verify", "scan"])
+def test_certificate_that_repeats_a_field_is_refused(capsys, tmp_path, argv):
+    # which of two values wins differs between JSON readers, so neither is read
+    path = tmp_path / "cert.json"
+    run(capsys, "construct", "--q", "3", "--a", "1", "--k", "5", "--output", str(path))
+    text = path.read_text()
+    for repeated, want in (('"q": 4, ', "['q']"), ('"q": 3, "t": 0, ', "['q', 't']")):
+        path.write_text(text.replace('"a": 1,', '"a": 1, ' + repeated, 1))
+        code, out, err = run(capsys, argv[0], "--cert", str(path), *argv[1:])
+        assert (code, out) == (1, "")
+        assert err == f"error: domain: certificate repeats fields: {want}\n"
+
+
 class TestScan:
     def test_jsonl_matches_library(self, capsys, tmp_path):
         path = tmp_path / "cert.json"

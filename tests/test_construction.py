@@ -484,6 +484,17 @@ class TestCertificates:
         with pytest.raises(DomainError):
             construction_from_dict({**d, "offsets": [7, 13, 19, 31, "37"]})
 
+    @pytest.mark.parametrize("key", ["offsets", "g_factors"])
+    @pytest.mark.parametrize("entry", [True, 7.0, None, "7", [7]],
+                             ids=["true", "float", "null", "string", "list"])
+    def test_rejects_a_list_entry_that_is_not_an_integer(self, key, entry):
+        d = construction_to_dict(self.c)
+        values = list(d[key])
+        values[1] = entry
+        with pytest.raises(DomainError,
+                           match=f"^certificate field {key} must be a list of integers$"):
+            construction_from_dict({**d, key: values})
+
     def test_rejects_bad_g_decimal(self):
         d = construction_to_dict(self.c, include_g=True)
         with pytest.raises(DomainError, match="g_decimal"):

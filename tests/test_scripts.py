@@ -15,7 +15,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 # cut off; the power-law fit is left out, since its floats come from lstsq
 EXPECTED = {
     ("bound_scaling.py", "--q-max", "8", "--k-max", "5"): [
-        "built 80/80 grid cells",
+        "built 80 grid cells",
         "shifts inside the (k-1)*max(k,L)+k window: 80/80",
     ],
     ("string_census.py", "3", "1", "100000"): [
