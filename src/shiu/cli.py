@@ -169,10 +169,13 @@ def _stats_csv(stats) -> str:
 
 
 def _cmd_construct(args) -> str:
-    from .construction import ConstructionParams, _decimal, build, construction_to_json
+    from .construction import (ConstructionParams, _charge_g_factors, _decimal, build,
+                               construction_to_json)
 
     fmt = _pick(args, "json", ("json", "text"))
-    c = build(ConstructionParams(q=args.q, a=args.a, k=args.k))
+    params = ConstructionParams(q=args.q, a=args.a, k=args.k)
+    _charge_g_factors(params.q)
+    c = build(params)
     if fmt == "json":
         return construction_to_json(c, include_g=args.with_g)
     # every offset is a prime above k >= 2, so each constant is positive
@@ -285,14 +288,17 @@ def _cmd_search(args) -> str | Iterable[str]:
 
 
 def _seed_doc() -> str:
-    from .construction import ConstructionParams, build, verify_admissible, verify_isolation
+    from .construction import (ConstructionParams, _product, build, verify_admissible,
+                               verify_isolation)
 
     params = ConstructionParams(q=3, a=1, k=5)
     c = build(params)
     report = verify_admissible(c)
     blocking = verify_isolation(c)
     offs = ", ".join(str(o) for o in c.offsets)
-    facs = " * ".join(str(p) for p in c.g_factors)
+    g_factors = c.g_factors
+    facs = " * ".join(map(str, g_factors))
+    g = _product(g_factors)
     sample = "; ".join(f"{h} -> {p}" for h, p in blocking[:6])
     lo, hi = c.offsets[0], c.offsets[-1]
     lines = [
@@ -311,8 +317,8 @@ def _seed_doc() -> str:
         f"   These k primes become the offsets: {offs}.",
         "",
         f"3. Multiply every prime up to {hi} that is not an offset:",
-        f"   g = {facs} = {c.g_value()}.",
-        f"   The common coefficient of the tuple is g*q = {c.coefficient()}.",
+        f"   g = {facs} = {g}.",
+        f"   The common coefficient of the tuple is g*q = {g * params.q}.",
         "",
         "4. The forms g*q*x + offset make an admissible tuple (verified:",
         f"   admissible = {report.admissible}). Each prime p dividing g*q",

@@ -10,28 +10,32 @@ primes the window contains sit at the offsets: they are consecutive primes,
 all congruent to a modulo q, within an interval of length
 B = l_{t+k} - l_{t+1}.
 
-A certificate read back is checked against that definition, not against
-build: reverify sieves once, exactly to the certificate's last offset, and
-reads from that one list the progression members, the least shift and
-every prime g_factor. It never multiplies g out. Admissibility is decided
-on a coefficient that keeps only the g_factors sharing a factor with the
-offsets or with a prime up to k, and isolation on a one-byte-per-integer
-cover of the window. The coefficient is multiplied out only where an
-output holds it, by a product tree.
+g is a function of the offsets, so a Construction does not hold it:
+g_factors is derived, from one sieve, each time an output or a check reads
+it. A certificate read back is checked against that definition, not
+against build: reverify sieves once, exactly to the certificate's last
+offset, and reads from that one list the progression members, the least
+shift and the g_factors, which it compares with the certificate's list.
+Neither check that follows reads g_factors. Admissibility is decided on q
+times the primes up to k and those dividing an offset, and isolation on a
+one-byte-per-integer cover of the window: the primes up to the square
+root of the last offset strike every composite, and each prime of the
+window covers its own slot. g is multiplied out only where an output holds
+it, by a product tree.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, localcontext
-from itertools import compress, filterfalse, repeat
-from math import gcd, log, prod
+from itertools import compress, filterfalse
+from math import gcd, isqrt, log, prod
 from operator import lt, mul
 
 from .errors import DomainError, InternalConsistencyError, ResourceError
 from .primality import classify_prime
-from .sieve import APIndex, _check_allocation, check_progression, primes_up_to
+from .sieve import (APIndex, _check_allocation, _prime_list_bytes, _segments,
+                    check_progression, primes_up_to)
 from .tuples import AdmissibilityReport, KTuple, LinearForm, is_admissible
 
 SHIFT_CAP = 10**6  # largest shift choose_t tries before a ResourceError
@@ -57,17 +61,13 @@ class ConstructionParams:
 
 @dataclass(frozen=True)
 class Construction:
-    """A complete certificate: shift, offsets, factored coefficient, diameter.
-
-    g_factors lists every prime up to the last offset that is not itself an
-    offset; the coefficient g is kept factored and only multiplied out on
-    demand.
+    """A complete certificate: shift, offsets and diameter. The coefficient
+    is a function of the offsets, so it is derived, not held.
     """
 
     params: ConstructionParams
     t: int
     offsets: tuple[int, ...]
-    g_factors: tuple[int, ...]
     B: int
 
     def __post_init__(self):
@@ -78,20 +78,22 @@ class Construction:
             raise DomainError(f"expected {k} offsets, got {len(self.offsets)}")
         if not all(map(lt, self.offsets, self.offsets[1:])):
             raise DomainError("offsets must be strictly increasing")
-        if not all(map(lt, self.g_factors, self.g_factors[1:])):
-            raise DomainError("g_factors must be strictly increasing")
-        if self.g_factors and self.g_factors[0] < 1:
-            raise DomainError("g_factors must be positive")
         if not k < self.offsets[0]:
             raise DomainError("need k < first offset")
         if not self.offsets[-1] < self.offsets[0] ** 2:
             raise DomainError("need last offset below the square of the first")
         if any(off % q != res for off in self.offsets):
             raise DomainError("every offset must be congruent to a mod q")
-        if not set(self.offsets).isdisjoint(self.g_factors):
-            raise DomainError("g_factors and offsets must be disjoint")
         if self.B != self.offsets[-1] - self.offsets[0]:
             raise DomainError("B must equal last offset minus first offset")
+
+    @property
+    def g_factors(self) -> tuple[int, ...]:
+        """Every prime up to the last offset that is not an offset, in
+        increasing order: one sieve on each read, so a caller that needs
+        them twice keeps them."""
+        return tuple(filterfalse(set(self.offsets).__contains__,
+                                 primes_up_to(self.offsets[-1])))
 
     def g_value(self) -> int:
         """The coefficient quotient multiplied out (can run to hundreds of
@@ -133,11 +135,10 @@ def choose_t(idx: APIndex, k: int) -> int:
 
 
 def build(params: ConstructionParams, *, idx: APIndex | None = None) -> Construction:
-    """The construction with the least admissible shift. Offsets and
-    g_factors are both read from one progression index: idx if given, which
-    must be for the progression of params, else a fresh one. g_factors are
-    the slices of idx.primes between the offsets. The sieve's height
-    ceiling and the shift cap raise ResourceError."""
+    """The construction with the least admissible shift, its offsets read
+    from one progression index: idx if given, which must be for the
+    progression of params, else a fresh one. The sieve's height ceiling and
+    the shift cap raise ResourceError."""
     if idx is None:
         idx = APIndex(params.q, params.a)
     elif (idx.q, idx.a) != (params.q, params.residue):
@@ -146,14 +147,16 @@ def build(params: ConstructionParams, *, idx: APIndex | None = None) -> Construc
         )
     t = choose_t(idx, params.k)
     offsets = tuple(idx.nth(t + i) for i in range(1, params.k + 1))
-    primes = idx.primes
-    g_factors: list[int] = []
-    lo = 0
-    for off in offsets:
-        hi = bisect_left(primes, off, lo)
-        g_factors += primes[lo:hi]
-        lo = hi + 1
-    return Construction(params, t, offsets, tuple(g_factors), offsets[-1] - offsets[0])
+    return Construction(params, t, offsets, offsets[-1] - offsets[0])
+
+
+def _charge_g_factors(q: int) -> None:
+    """Refuse, before anything is sieved, a build whose g_factors the
+    memory budget could not hold. They are every prime up to the last
+    offset but the k >= 2 offsets, and the last of k members of a
+    progression mod q exceeds q, so reading them charges at least what the
+    primes up to q do."""
+    _check_allocation(_prime_list_bytes(q))
 
 
 def as_ktuple(c: Construction) -> KTuple:
@@ -163,41 +166,29 @@ def as_ktuple(c: Construction) -> KTuple:
 
 
 def verify_admissible(c: Construction) -> AdmissibilityReport:
-    """Check admissibility by the specialized two-case argument, then
-    cross-check against the general tuple checker.
+    """Check admissibility by the specialized argument, then cross-check
+    against the general tuple checker; disagreement is a bug.
 
-    Case one: a prime dividing the coefficient g*q divides no offset. Case
-    two: a prime p <= k not dividing the coefficient sees the offsets in
-    fewer than p classes; since every offset is a prime exceeding k, class
-    0 is never hit. Disagreement between the two routes is a bug.
+    Specialized: every prime up to k is a g_factor, as every offset exceeds
+    k, so the tuple is admissible exactly when no prime dividing the
+    coefficient divides an offset; a prime p above k that does not divide
+    it sees the offsets in at most k < p classes.
 
-    Both routes run on G' = q * prod{f in g_factors : gcd(f, P) > 1}, with
-    P the product of the primes up to k and of the offsets, not on g*q,
-    and the report (verdict, witness, checked_primes) is the one g*q
-    gives:
-    - a prime p that divides an offset, or is at most k, divides P, so
-      it divides G' exactly when it divides g*q: both coefficients are 0
-      mod p or both are not. These primes are the whole check set of
-      is_admissible, and the whole of what either case looks at;
-    - every form shares the one coefficient, so a p not dividing it
-      covers as many classes as there are distinct offsets mod p, with
-      either coefficient;
-    - the gcd rule keeps exactly the g_factors that can matter, a
-      composite one too, and drops a unit, which changes no product.
+    Both routes run on G', q times the primes up to k and the primes up to
+    isqrt(last offset) that divide an offset, and give the report (verdict,
+    witness, checked_primes) of g*q. is_admissible checks in increasing
+    order the primes up to k, which divide both coefficients, then those
+    dividing the coefficient and an offset, each a witness. The least such
+    g_factor is the least prime factor of a composite offset, below the
+    first offset, so G' keeps it; and every prime G' keeps is a g_factor.
+    For the prime offsets that build and reverify make, G' is q times the
+    primes up to k, and g_factors is never read.
     """
     q, res, k = c.params.q, c.params.residue, c.params.k
-    small = primes_up_to(k)
-    touch = prod(small) * prod(c.offsets)
-    # the g_factors f with gcd(f, touch) > 1, at C speed
-    coeff = q * _product(compress(c.g_factors,
-                                  map((1).__lt__, map(gcd, c.g_factors, repeat(touch)))))
-    specialized_ok = all(gcd(off, coeff) == 1 for off in c.offsets)
-    for p in small:
-        if coeff % p == 0:
-            continue
-        residues = {off % p for off in c.offsets}
-        if 0 in residues or len(residues) >= p:
-            specialized_ok = False
+    touch = prod(c.offsets)
+    coeff = q * prod(p for p in primes_up_to(max(k, isqrt(c.offsets[-1])))
+                     if p <= k or touch % p == 0)
+    specialized_ok = gcd(touch, coeff) == 1
     report = is_admissible(KTuple(tuple(LinearForm(coeff, h) for h in c.offsets)))
     if report.admissible != specialized_ok:
         raise InternalConsistencyError(
@@ -208,20 +199,15 @@ def verify_admissible(c: Construction) -> AdmissibilityReport:
     return report
 
 
-def _strike(c: Construction, slots, unit=None) -> None:
-    """Over slots[h - first offset], for h from the first offset to the
-    last, write at the multiples of each g_factor f the mark unit[0], or f
-    itself when no unit is given. Factors go largest first, so a slot ends
-    holding the least g_factor dividing its h. A factor that can reach at
-    most one slot, as most of a long certificate's do, writes that slot
-    directly; only the rest pay for a slice."""
-    lo, size = c.offsets[0], len(slots)
-    for f in reversed(c.g_factors):
-        i = -lo % f  # slot of the least multiple of f at or above lo
-        if i + f < size:
-            slots[i::f] = (unit or [f]) * ((size - 1 - i) // f + 1)
-        elif i < size:
-            slots[i] = f if unit is None else unit[0]
+def _strike(lo: int, slots, primes, mark=None) -> None:
+    """Over slots[h - lo], write at the multiples h of each of primes the
+    mark, or the prime itself when no mark is given. Primes go largest
+    first, so a slot ends holding the least of them dividing its h."""
+    size = len(slots)
+    for p in reversed(primes):
+        i = -lo % p  # slot of the least multiple of p at or above lo
+        if i < size:
+            slots[i::p] = (mark or [p]) * ((size - 1 - i) // p + 1)
 
 
 def _uncovered(c: Construction, h: int) -> InternalConsistencyError:
@@ -233,15 +219,18 @@ def _uncovered(c: Construction, h: int) -> InternalConsistencyError:
 
 
 def _check_cover(c: Construction) -> None:
-    """verify_isolation's check without its pairs: a byte per integer of
-    the window, struck at the multiples of every g_factor, and every slot
-    that is not an offset must be struck."""
-    lo, size = c.offsets[0], c.B + 1
+    """verify_isolation's check without its pairs, on a byte per integer of
+    the window: each prime of the window covers its own slot, the primes up
+    to the square root of the last offset strike their multiples, and every
+    slot that is not an offset must be covered."""
+    lo, stop = c.offsets[0], c.offsets[-1] + 1
     # the cover, plus a run of marks for 2 (half its length) and the copy
     # that slice assignment makes of a bytes run
-    _check_allocation(2 * size)
-    cover = bytearray(size)
-    _strike(c, cover, b"\x01")
+    _check_allocation(2 * (stop - lo))
+    cover = bytearray(stop - lo)
+    for seg_lo, flags in _segments(lo, stop):
+        cover[seg_lo - lo:seg_lo - lo + 2 * len(flags):2] = flags
+    _strike(lo, cover, primes_up_to(isqrt(stop - 1)), b"\x01")
     for off in c.offsets:
         cover[off - lo] = 1
     i = cover.find(0)
@@ -254,15 +243,16 @@ def verify_isolation(c: Construction) -> list[tuple[int, int]]:
     least g_factor dividing h, so the form value at h is composite in every
     window beyond the degenerate one.
 
-    Such a factor must exist: all prime factors of h lie below the last
-    offset, and a value composed of offsets alone would be a single offset
-    because the last offset is below the square of the first. Finding none is
-    therefore a bug, not an input condition.
+    Such a factor must exist, and it is found without the list of
+    g_factors. A composite h has its least prime factor at most isqrt(h),
+    below the first offset because the last offset is below the square of
+    the first, so that prime is a g_factor; a prime h is a g_factor itself.
+    So the primes up to the square root of the last offset, from one small
+    sieve, strike the window, and each prime of the window, from a sieve of
+    the window alone, fills its own slot. Finding no factor is therefore a
+    bug, not an input condition.
 
-    The interval is sieved by the g_factors themselves (_strike), so each
-    slot ends up holding the least g_factor dividing it. This holds for any
-    ascending positive g_factors, a 1 or a composite among them. The
-    (h, p) pairs are then read off at C speed, through a keep-mask that
+    The (h, p) pairs are read off at C speed, through a keep-mask that
     drops the offsets. The slot list and the returned pairs are charged to
     the memory budget before either is built. reverify needs no pairs and
     checks the same cover on one byte per integer instead.
@@ -273,7 +263,10 @@ def verify_isolation(c: Construction) -> list[tuple[int, int]]:
     # int and a list pointer: about 96 bytes under tracemalloc
     _check_allocation(9 * size + 96 * (size - len(c.offsets)))
     least: list[int | None] = [None] * size
-    _strike(c, least)
+    for seg_lo, flags in _segments(lo, stop):
+        for h in compress(range(seg_lo, seg_lo + 2 * len(flags), 2), flags):
+            least[h - lo] = h
+    _strike(lo, least, primes_up_to(isqrt(stop - 1)))
     keep = bytearray([1]) * size
     for off in c.offsets:
         keep[off - lo] = 0
@@ -356,10 +349,11 @@ def construction_to_dict(c: Construction, *, include_g: bool = False) -> dict:
     out: dict = {"q": c.params.q, "a": c.params.a, "k": c.params.k}
     out["t"] = c.t
     out["offsets"] = list(c.offsets)
-    out["g_factors"] = list(c.g_factors)
+    g_factors = c.g_factors
+    out["g_factors"] = list(g_factors)
     out["B"] = c.B
     if include_g:
-        out["g_decimal"] = _decimal(c.g_factors)
+        out["g_decimal"] = _decimal(g_factors)
     return out
 
 
@@ -376,12 +370,12 @@ def construction_to_json(c: Construction, *, include_g: bool = False) -> str:
     """The bytes of json.dumps(construction_to_dict(c, include_g=include_g),
     indent=2) + "\n", written by join: json's indenting encoder is pure
     Python, and a long certificate is nearly all one list of ints. Every
-    value is an int, a list of ints or the digit string g_decimal, which
-    needs no escaping."""
+    value is an int, a list of ints, never empty, or the digit string
+    g_decimal, which needs no escaping."""
     lines = []
     for key, value in construction_to_dict(c, include_g=include_g).items():
         if isinstance(value, list):
-            value = "[\n    " + ",\n    ".join(map(str, value)) + "\n  ]" if value else "[]"
+            value = "[\n    " + ",\n    ".join(map(str, value)) + "\n  ]"
         elif isinstance(value, str):
             value = f'"{value}"'
         lines.append(f'  "{key}": {value}')
@@ -389,6 +383,9 @@ def construction_to_json(c: Construction, *, include_g: bool = False) -> str:
 
 
 def construction_from_dict(data: dict) -> Construction:
+    """The Construction a certificate states, its fields type-checked and
+    any g_decimal checked against the listed g_factors. The list itself is
+    not kept: reverify compares it with the derivation."""
     if not isinstance(data, dict):
         raise DomainError("certificate must be a JSON object")
     unknown = set(data) - set(_CERT_KEYS)
@@ -405,30 +402,24 @@ def construction_from_dict(data: dict) -> Construction:
         if not (isinstance(data[key], list) and set(map(type, data[key])) <= {int}):
             raise DomainError(f"certificate field {key} must be a list of integers")
     params = ConstructionParams(q=data["q"], a=data["a"], k=data["k"])
-    c = Construction(
-        params=params,
-        t=data["t"],
-        offsets=tuple(data["offsets"]),
-        g_factors=tuple(data["g_factors"]),
-        B=data["B"],
-    )
+    c = Construction(params=params, t=data["t"], offsets=tuple(data["offsets"]), B=data["B"])
     if "g_decimal" in data:
         g_decimal = data["g_decimal"]
         if not (isinstance(g_decimal, str) and g_decimal.isascii() and g_decimal.isdigit()):
             raise DomainError("certificate field g_decimal must be a decimal string")
-        if g_decimal != _decimal(c.g_factors):
+        if g_decimal != _decimal(data["g_factors"]):
             raise DomainError("g_decimal does not match the product of g_factors")
     return c
 
 
-def _derives(c: Construction) -> bool:
-    """Whether c is the construction of its (q, a, k), judged from one sieve
-    up to its last offset: its offsets are the progression members at
-    positions t+1 ... t+k; no t' < t passes k < l_{t'+1} and
-    l_{t'+k} < l_{t'+1}^2, and t is within SHIFT_CAP, as choose_t would
-    have it; and g_factors is exactly the primes up to the last offset that
-    are not offsets. B is the last offset minus the first, which
-    Construction already demands.
+def _derives(c: Construction, g_factors: list[int]) -> bool:
+    """Whether c, with the g_factors its certificate lists, is the
+    construction of its (q, a, k), judged from one sieve up to its last
+    offset: its offsets are the progression members at positions
+    t+1 ... t+k; no t' < t passes k < l_{t'+1} and l_{t'+k} < l_{t'+1}^2,
+    and t is within SHIFT_CAP, as choose_t would have it; and the list is
+    exactly the primes up to the last offset that are not offsets. B is the
+    last offset minus the first, which Construction already demands.
 
     A height that the certificate's own length cannot back is not sieved:
     g_factors and offsets together must be the pi(last) primes up to the
@@ -437,7 +428,7 @@ def _derives(c: Construction) -> bool:
     never runs past what the input's size pays for.
     """
     k, t, last = c.params.k, c.t, c.offsets[-1]
-    if t > SHIFT_CAP or last >= 17 and (len(c.g_factors) + k) * log(last) < last:
+    if t > SHIFT_CAP or last >= 17 and (len(g_factors) + k) * log(last) < last:
         return False
     primes = primes_up_to(last)
     q, res = c.params.q, c.params.residue
@@ -446,38 +437,41 @@ def _derives(c: Construction) -> bool:
     return (tuple(members[t:]) == c.offsets
             and not any(k < members[s] and members[s + k - 1] < members[s] ** 2
                         for s in range(t))
-            and tuple(filterfalse(chosen.__contains__, primes)) == c.g_factors)
+            and list(filterfalse(chosen.__contains__, primes)) == g_factors)
 
 
 def reverify(data: dict) -> Construction:
     """Parse a certificate, check that it is the construction of its
     (q, a, k), then re-run the admissibility and isolation checks on it.
 
-    _derives checks the certificate against the definition, from one sieve
-    to its own last offset. Only on a mismatch does build re-derive the
-    construction from (q, a, k), to list the fields that differ; if none
-    do, the two derivations disagree, which is a bug. Isolation is checked
-    as a cover of the window, one byte per integer, with no (h, p) pairs.
+    _derives checks the certificate, its listed g_factors included, against
+    the definition, from one sieve to its own last offset. Only on a
+    mismatch does build re-derive the construction from (q, a, k), to list
+    the fields that differ; if none do, the two derivations disagree, which
+    is a bug. Isolation is checked as a cover of the window, one byte per
+    integer, with no (h, p) pairs.
     """
     claimed = construction_from_dict(data)
-    if not _derives(claimed):
+    if not _derives(claimed, data["g_factors"]):
+        _charge_g_factors(claimed.params.q)
         rebuilt = build(claimed.params)
         # construction_from_dict has checked any g_decimal against g_factors
-        mismatched = [key for key in ("B", "g_factors", "offsets", "t")
-                      if getattr(claimed, key) != getattr(rebuilt, key)]
+        stated = {"B": claimed.B, "g_factors": tuple(data["g_factors"]),
+                  "offsets": claimed.offsets, "t": claimed.t}
+        mismatched = [key for key, value in stated.items() if value != getattr(rebuilt, key)]
         if mismatched:
             raise DomainError(
                 f"certificate does not match re-derivation; mismatched fields: {mismatched}"
             )
         raise InternalConsistencyError(
             "the sieve derivation refused a certificate that build re-derives",
-            context=construction_to_dict(claimed),
+            context=data,
         )
     report = verify_admissible(claimed)
     if not report.admissible:
         raise InternalConsistencyError(
             "re-derived construction is not admissible",
-            context=construction_to_dict(claimed),
+            context=data,
         )
     _check_cover(claimed)
     return claimed

@@ -2,8 +2,8 @@
 
 Everything downstream sits on this module: plain prime enumeration up to a
 height, the lazily extended 1-based index into the primes congruent to a
-fixed residue a modulo q, and check_progression, the one test of which
-(q, a) are accepted. A single loop, _segment_flags, does all the sieving:
+fixed residue a modulo q, which keeps those primes and no others, and
+check_progression, the one test of which (q, a) are accepted. A single loop, _segment_flags, does all the sieving:
 it flags the odd primes of one interval given the odd primes up to the
 square root of its end, and those base primes come from the same loop run
 over [3, root]. The sieve is odd-only (Crandall and Pomerance, Prime
@@ -183,15 +183,13 @@ def primes_up_to(y: int) -> list[int]:
 
 
 class APIndex:
-    """Every prime below a height, and the primes congruent to a modulo q
-    among them indexed from 1 in increasing order.
+    """The primes congruent to a modulo q, indexed from 1 in increasing order.
 
-    Extends itself by sieving further on demand and memoizes what it has
-    found. The first extension reaches 8*q, which already holds the first
-    few entries; each later one doubles the height, so the index never sieves
-    more than about twice the height its largest answer needs. `primes`
-    keeps every prime sieved, so build reads its offsets and coefficient
-    factors from one sieve; the memory budget is charged for that list.
+    Extends itself by sieving further on demand and memoizes the members it
+    has found, and nothing else. The first extension reaches 8*q, which
+    already holds the first few entries; each later one doubles the height,
+    so the index never sieves more than about twice the height its largest
+    answer needs. The memory budget is charged for the member list.
     Heights above HEIGHT_CEILING are refused with ResourceError.
     Consecutive entries differ by a positive multiple of q, so the (k+1)-st
     entry always exceeds q*k. Mutation is not thread-safe; queries on an
@@ -202,7 +200,6 @@ class APIndex:
         check_progression(q, a)
         self.q = q
         self.a = a % q
-        self.primes: list[int] = []
         self._members: list[int] = []
         self._height = 2  # everything below this has been scanned
 
@@ -217,23 +214,20 @@ class APIndex:
         if height <= self._height:
             return
         _check_height(height - 1)
-        _check_allocation(_prime_list_bytes(height))
         q, a = self.q, self.a
-        if self._height <= 2 < height:
-            self.primes.append(2)
-            if a == 2:
-                self._members.append(2)
         # the odd n = a mod q are lcm(2, q) apart: q flags when q is odd,
-        # q/2 when q is even (a is then odd)
+        # q/2 when q is even (a is then odd); with the even prime, at most
+        # height // q + 2 members, about 40 bytes each
+        _check_allocation((height // q + 2) * 40)
+        if self._height <= 2 < height and a == 2:
+            self._members.append(2)
         stride = q if q & 1 else q >> 1
         for seg_lo, flags in _segments(self._height, height):
-            seg_hi = seg_lo + 2 * len(flags)
-            self.primes.extend(compress(range(seg_lo, seg_hi, 2), flags))
             # the first odd n >= seg_lo with n = a mod q is seg_lo + 2*off
             d = (a - seg_lo) % q
             off = (d + q if d & 1 else d) >> 1
-            self._members.extend(
-                compress(range(seg_lo + 2 * off, seg_hi, 2 * stride), flags[off::stride]))
+            self._members.extend(compress(range(seg_lo + 2 * off, seg_lo + 2 * len(flags),
+                                                2 * stride), flags[off::stride]))
         self._height = height
 
     def _extend(self) -> None:

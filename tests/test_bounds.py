@@ -163,11 +163,23 @@ class TestSerialization:
                         "only 1 primes = 1 mod 3 below the ceiling 8")
 
     def test_a_sieve_budget_exits_two(self, capsys, monkeypatch):
-        # at the q = 100003 cell the first extension of the index is over 1 MiB
+        # the first extension of a q = 10^10 index reaches 8*q, so the base
+        # primes of its sieve run to isqrt(8*q) = 282842; with a block of
+        # flags they are charged over 1 MiB before anything is sieved
         monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "1")
-        self._exits_two(capsys, ["--q-min", "100003", "--q-max", "100003", "--a", "1",
-                                 "--k-min", "2", "--k-max", "3"],
-                        "sieve needs 3060600 bytes, over the 1048576 byte budget")
+        self._exits_two(capsys, ["--q-min", "10000000000", "--q-max", "10000000000",
+                                 "--a", "1", "--k-min", "2", "--k-max", "3"],
+                        "sieve needs 1575245 bytes, over the 1048576 byte budget")
+
+    def test_a_one_mib_budget_changes_no_row(self, capsys, monkeypatch):
+        # the q = 100003 index keeps only its few members, and each sieve
+        # block is charged about 270 KB, so 1 MiB builds the whole column
+        monkeypatch.delenv("SHIU_SIEVE_BUDGET_MB", raising=False)
+        unbudgeted = _bounds(capsys, [100003], [2, 3], "--a", "1")
+        monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "1")
+        assert _bounds(capsys, [100003], [2, 3], "--a", "1") == unbudgeted
+        assert unbudgeted.splitlines()[1:] == ["100003,1,2,0,2200066,7,true",
+                                               "100003,1,3,0,3000090,13,true"]
 
     def test_csv_parses_back(self, capsys):
         rows = bound_table([3, 4], [2, 3])

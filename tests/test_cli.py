@@ -84,7 +84,9 @@ def test_repeat_runs_are_byte_identical(capsys):
 # and {cert_g} stand for the (3,1,5) certificate without and with g_decimal;
 # the window n = 1643273200630 lies above 2^64. The searches to 3000000 span
 # more than twenty default-width segments, so runs carried across segment
-# boundaries are pinned too.
+# boundaries are pinned too. The (10007,1,3) certificate's last offset,
+# 560393, lies past the first four-segment sieve block, so the progression
+# index finds its offsets across blocks.
 PINNED_OUTPUTS = {
     "bounds --q-min 3 --q-max 30 --k-min 2 --k-max 12 --format csv":
         "24b7001dcca2d8e6ce2ce27f9153bdb40ed2a6cf9881363e92e337c4f7ac09d9",
@@ -94,6 +96,10 @@ PINNED_OUTPUTS = {
         "1cbae5731e4b52136c83ee76994e7c5a69abc4af29125e20bfc11e01fd886d37",
     "construct --q 29 --a 1 --k 12 --with-g":
         "9b83943089646f9b6dc5ab6f385f8a38f3c34197734825a041e0ef1900548e98",
+    "construct --q 10007 --a 1 --k 3":
+        "c3ae297abe6b5c83172f536b25d233fb2e7b88eeaa6061ae441742b3a6d7a467",
+    "construct --q 10007 --a 1 --k 3 --with-g":
+        "fab1d030294894e9b32aecf044eea7b4883da89af6eedb3ec59db036ee0cc798",
     "construct --q 3 --a 1 --k 5 --format text":
         "c5be75dc3876fb9cc513ad6c1cdb9dced5e26562dace5b584491a12af935a955",
     "--seed-doc":

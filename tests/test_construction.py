@@ -1,7 +1,7 @@
-import dataclasses
 import json
 from decimal import Decimal
 from math import gcd, prod
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +30,6 @@ from shiu.sieve import APIndex
 from shiu.tuples import AdmissibilityReport, is_admissible
 
 from ._oracles import (
-    ap_primes_oracle,
     blocking_oracle,
     choose_t_oracle,
     trial_primes,
@@ -48,6 +47,13 @@ EX_BLOCKING = [
     (26, 2), (27, 3), (28, 2), (29, 29), (30, 2), (32, 2), (33, 3), (34, 2),
     (35, 5), (36, 2),
 ]
+
+
+@st.composite
+def _cells(draw, q_max=30, k_max=12):
+    q = draw(st.integers(3, q_max))
+    a = draw(st.sampled_from([a for a in range(1, q) if gcd(a, q) == 1]))
+    return q, a, draw(st.integers(2, k_max))
 
 
 def test_params_validation():
@@ -119,38 +125,18 @@ def test_build_refuses_an_index_for_another_progression():
     assert c.offsets == (5, 13, 17) and c.B == 12
 
 
-def test_build_reads_g_factors_from_the_index_without_sieving_again(monkeypatch):
-    idx = APIndex(29, 1)
-    first = build(ConstructionParams(q=29, a=1, k=12), idx=idx)
-    monkeypatch.setattr(construction, "primes_up_to", None)
-    again = build(ConstructionParams(q=29, a=1, k=12), idx=idx)
-    assert again == first == build(ConstructionParams(q=29, a=1, k=12))
-    assert again.g_factors == tuple(p for p in trial_primes(again.offsets[-1])
-                                    if p not in again.offsets)
-
-
 def test_construction_validation_catches_tampering():
     c = build(ConstructionParams(q=3, a=1, k=5))
-    good = dict(params=c.params, t=c.t, offsets=c.offsets,
-                g_factors=c.g_factors, B=c.B)
+    good = dict(params=c.params, t=c.t, offsets=c.offsets, B=c.B)
     for field, bad in [
         ("offsets", (7, 13, 19, 37, 31)),
         ("offsets", (7, 13, 19, 31)),
         ("offsets", (11, 13, 19, 31, 37)),
         ("B", 31),
         ("t", -1),
-        ("g_factors", (2, 3, 5, 7, 11, 17, 23, 29)),
     ]:
         with pytest.raises(DomainError):
             Construction(**{**good, field: bad})
-
-
-@pytest.mark.parametrize("g_factors", [(0, 2, 3, 5, 11), (-2, 2, 3, 5, 11), (-3,)])
-def test_construction_refuses_nonpositive_g_factors(g_factors):
-    # verify_isolation would divide by the 0 or slice by the negative step
-    c = build(ConstructionParams(q=3, a=1, k=2))
-    with pytest.raises(DomainError, match="g_factors must be positive"):
-        dataclasses.replace(c, g_factors=g_factors)
 
 
 def test_verify_isolation_charges_the_pairs_it_returns(monkeypatch):
@@ -168,13 +154,11 @@ def test_size_conditions_are_enforced():
     # 5 offsets of 1 mod 3 with the last at 61 >= 49 = 7^2
     with pytest.raises(DomainError, match="square"):
         Construction(params=ConstructionParams(q=3, a=1, k=5), t=0,
-                     offsets=(7, 13, 19, 31, 61), g_factors=(2, 3, 5),
-                     B=54)
+                     offsets=(7, 13, 19, 31, 61), B=54)
     # k = 7 is not below the first offset 7
     with pytest.raises(DomainError, match="first offset"):
         Construction(params=ConstructionParams(q=3, a=1, k=7), t=0,
-                     offsets=(7, 13, 19, 31, 37, 43, 61),
-                     g_factors=(2, 3, 5), B=54)
+                     offsets=(7, 13, 19, 31, 37, 43, 61), B=54)
 
 
 def test_as_ktuple_shape():
@@ -229,13 +213,19 @@ def test_verify_isolation_tight_k2_run():
     assert len(verify_isolation(c)) == c.B - 1
 
 
+def _without(dropped):
+    """primes_up_to less the primes in dropped: the factor source of a
+    cover that has lost them."""
+    real = sieve.primes_up_to
+    return lambda y: [p for p in real(y) if p not in dropped]
+
+
 def test_verify_isolation_raises_on_uncovered_value(monkeypatch):
+    # with no 2 among the striking primes, 8 = 2^3 is left with no factor
     c = build(ConstructionParams(q=3, a=1, k=5))
-    crippled = Construction(
-        params=c.params, t=c.t, offsets=c.offsets,
-        g_factors=(17, 23, 29), B=c.B)
+    monkeypatch.setattr(construction, "primes_up_to", _without({2}))
     with pytest.raises(InternalConsistencyError) as info:
-        verify_isolation(crippled)
+        verify_isolation(c)
     assert info.value.context["h"] == 8
 
 
@@ -247,33 +237,6 @@ def test_verify_isolation_matches_linear_scan(q, a, k):
     assert verify_isolation(c) == blocking_oracle(c.offsets, c.g_factors)
 
 
-def test_verify_isolation_falls_back_past_a_missing_factor():
-    c = build(ConstructionParams(q=3, a=1, k=5))
-    no_two = Construction(params=c.params, t=c.t, offsets=c.offsets,
-                          g_factors=c.g_factors[1:], B=c.B)
-    with pytest.raises(InternalConsistencyError) as info:
-        verify_isolation(no_two)
-    assert info.value.context["h"] == 8
-    # with 4 in place of 2 the scan still covers 8, 10 and 12 (by 4, 5
-    # and 3) and first fails at 14 = 2 * 7
-    four_for_two = Construction(params=c.params, t=c.t, offsets=c.offsets,
-                                g_factors=(3, 4) + c.g_factors[2:], B=c.B)
-    with pytest.raises(InternalConsistencyError) as info:
-        verify_isolation(four_for_two)
-    assert info.value.context["h"] == 14
-
-
-def test_verify_isolation_keeps_unit_factor_semantics():
-    # 1 divides every h, so a linear scan returns it first; the sieve path
-    # must not override that
-    c = build(ConstructionParams(q=3, a=1, k=5))
-    with_one = Construction(params=c.params, t=c.t, offsets=c.offsets,
-                            g_factors=(1,) + c.g_factors, B=c.B)
-    pairs = verify_isolation(with_one)
-    assert pairs == blocking_oracle(c.offsets, with_one.g_factors)
-    assert {p for _, p in pairs} == {1}
-
-
 def _isolation_outcome(c):
     try:
         return verify_isolation(c)
@@ -281,28 +244,23 @@ def _isolation_outcome(c):
         return exc.context["h"]
 
 
-# 1, the primes below 41 that are not offsets, and composites up to 40
-_FACTOR_POOL = sorted({1} | set(trial_primes(40)).difference(EX_OFFSETS)
-                      | {n for n in range(4, 41) if n not in trial_primes(40)})
+# the primes that strike the worked example's window: those up to isqrt(37)
+_EX_STRIKING = (2, 3, 5)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sets(st.sampled_from(EX_G_FACTORS)), st.sets(st.sampled_from(_FACTOR_POOL)),
-       st.booleans())
-@example(frozenset(), frozenset(), False)
-@example(frozenset({2}), frozenset({4}), False)
-@example(frozenset(), frozenset({1}), False)
-def test_verify_isolation_equals_the_blocking_oracle(dropped, extra, only_extra):
-    # any ascending positive g_factors: the certificate's own with some
-    # dropped, plus units, composites and extra primes
-    kept = set() if only_extra else set(EX_G_FACTORS) - dropped
-    g_factors = tuple(sorted(kept | extra))
-    c = Construction(params=ConstructionParams(q=3, a=1, k=5), t=0,
-                     offsets=EX_OFFSETS, g_factors=g_factors,
-                     B=EX_OFFSETS[-1] - EX_OFFSETS[0])
-    want = blocking_oracle(c.offsets, g_factors)
+@settings(max_examples=20, deadline=None)
+@given(st.sets(st.sampled_from(_EX_STRIKING)))
+@example(frozenset())
+@example(frozenset({2}))
+@example(frozenset({5}))
+def test_verify_isolation_equals_the_blocking_oracle(dropped):
+    # a cover whose factor source has lost some primes stops at the h that
+    # the oracle leaves uncovered when given every g_factor but those
+    c = build(ConstructionParams(q=3, a=1, k=5))
+    want = blocking_oracle(c.offsets, [f for f in EX_G_FACTORS if f not in dropped])
     uncovered = next((h for h, p in want if p is None), None)
-    assert _isolation_outcome(c) == (want if uncovered is None else uncovered)
+    with patch.object(construction, "primes_up_to", _without(dropped)):
+        assert _isolation_outcome(c) == (want if uncovered is None else uncovered)
 
 
 def _cover_outcome(c):
@@ -313,37 +271,36 @@ def _cover_outcome(c):
     return None
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sets(st.sampled_from(EX_G_FACTORS)), st.sets(st.sampled_from(_FACTOR_POOL)),
-       st.booleans())
-@example(frozenset(), frozenset(), False)
-@example(frozenset({2}), frozenset(), False)
-@example(frozenset({2}), frozenset({4}), False)
-@example(frozenset(), frozenset({1}), True)
-def test_cover_check_fails_where_verify_isolation_does(dropped, extra, only_extra):
-    # reverify's byte cover and verify_isolation's pairs refuse the same
-    # crippled certificates, at the same h
-    kept = set() if only_extra else set(EX_G_FACTORS) - dropped
-    c = Construction(params=ConstructionParams(q=3, a=1, k=5), t=0,
-                     offsets=EX_OFFSETS, g_factors=tuple(sorted(kept | extra)),
-                     B=EX_OFFSETS[-1] - EX_OFFSETS[0])
-    outcome = _isolation_outcome(c)
-    assert _cover_outcome(c) == (outcome if isinstance(outcome, int) else None)
+@settings(max_examples=60, deadline=None)
+@given(_cells(), st.sets(st.sampled_from(trial_primes(40))))
+@example((3, 1, 5), frozenset())
+@example((3, 1, 5), frozenset({2}))
+@example((3, 1, 5), frozenset({5}))
+@example((29, 1, 12), frozenset({3}))
+def test_cover_check_fails_where_verify_isolation_does(cell, dropped):
+    # reverify's byte cover and verify_isolation's pairs, struck from the
+    # same crippled factor source, refuse the same certificates at the same h
+    c = build(ConstructionParams(*cell))
+    with patch.object(construction, "primes_up_to", _without(dropped)):
+        outcome = _isolation_outcome(c)
+        assert _cover_outcome(c) == (outcome if isinstance(outcome, int) else None)
 
 
 def test_verify_isolation_charges_its_interval_to_the_budget(monkeypatch):
-    # no g_factors, so every interior h is uncovered; the one-slot-per-h
-    # list over a million integers, and the pairs it would return, about
-    # 104 bytes per h together, are refused before any h is looked at
+    # the one-slot-per-h list over a million integers, and the pairs it
+    # would return, about 104 bytes per h together, are refused before any
+    # h is looked at; with room for them, a cover that strikes without 2
+    # first fails at 2^10, every smaller even h having an odd prime factor
     c = Construction(params=ConstructionParams(q=3, a=1, k=2), t=0,
-                     offsets=(1009, 1000000), g_factors=(), B=1000000 - 1009)
+                     offsets=(1009, 1000000), B=1000000 - 1009)
     monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "1")
     with pytest.raises(ResourceError):
         verify_isolation(c)
     monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "128")
+    monkeypatch.setattr(construction, "primes_up_to", _without({2}))
     with pytest.raises(InternalConsistencyError) as info:
         verify_isolation(c)
-    assert info.value.context["h"] == 1010
+    assert info.value.context["h"] == 1024
 
 
 class TestScanWindows:
@@ -425,14 +382,15 @@ def test_scan_of_a_window_containing_2_64_matches_oracle():
 
 @pytest.mark.parametrize("q, a, k", SCAN_CERTS)
 @pytest.mark.parametrize("drop", [0, -1])
-def test_scan_never_trusts_the_certificate(q, a, k, drop):
+def test_scan_never_trusts_the_certificate(q, a, k, drop, monkeypatch):
     c = build(ConstructionParams(q=q, a=a, k=k))
     g_factors = list(c.g_factors)
     del g_factors[drop]
-    # built directly and never reverified: the window is no longer isolated
-    bad = Construction(c.params, c.t, c.offsets, tuple(g_factors), c.B)
-    reports = _scan(bad, 0, 60)
-    assert reports == _oracle_scan(bad, 0, 60)
+    # a coefficient that has lost a factor no longer isolates the window;
+    # the scan decides every value itself, so it reports just that
+    monkeypatch.setattr(Construction, "g_factors", property(lambda self: tuple(g_factors)))
+    reports = _scan(c, 0, 60)
+    assert reports == _oracle_scan(c, 0, 60)
     assert not all(r["isolation_ok"] for r in reports[1:])
 
 
@@ -557,13 +515,6 @@ def test_product_tree_equals_a_running_product():
     assert construction._decimal(c.g_factors) == str(Decimal(g))
 
 
-@st.composite
-def _cells(draw, q_max=30, k_max=12):
-    q = draw(st.integers(3, q_max))
-    a = draw(st.sampled_from([a for a in range(1, q) if gcd(a, q) == 1]))
-    return q, a, draw(st.integers(2, k_max))
-
-
 @settings(max_examples=40, deadline=None)
 @given(_cells())
 @example((3, 1, 5))
@@ -571,6 +522,7 @@ def _cells(draw, q_max=30, k_max=12):
 @example((4, 3, 2))
 def test_reverify_accepts_every_built_certificate(cell):
     c = build(ConstructionParams(*cell))
+    assert c.g_factors == tuple(p for p in trial_primes(c.offsets[-1]) if p not in c.offsets)
     for include_g in (False, True):
         text = construction_to_json(c, include_g=include_g)
         assert text == json.dumps(construction_to_dict(c, include_g=include_g), indent=2) + "\n"
@@ -578,10 +530,13 @@ def test_reverify_accepts_every_built_certificate(cell):
 
 
 def test_construction_to_json_on_hand_made_certificates():
-    for c in (Construction(params=ConstructionParams(q=3, a=1, k=2), t=0,
-                           offsets=(7, 13), g_factors=(), B=6),
+    # not the least shift, an unreduced residue, a composite offset
+    for c in (Construction(params=ConstructionParams(q=3, a=1, k=2), t=1,
+                           offsets=(13, 19), B=6),
               Construction(params=ConstructionParams(q=3, a=4, k=2), t=0,
-                           offsets=(7, 13), g_factors=(1, 4, 11), B=6)):
+                           offsets=(7, 13), B=6),
+              Construction(params=ConstructionParams(q=3, a=1, k=3), t=0,
+                           offsets=(7, 13, 25), B=18)):
         for include_g in (False, True):
             assert construction_to_json(c, include_g=include_g) == json.dumps(
                 construction_to_dict(c, include_g=include_g), indent=2) + "\n"
@@ -641,6 +596,9 @@ def test_reverify_refuses_a_height_its_length_cannot_back_without_sieving(monkey
     listed = r"mismatched fields: \['B', 'g_factors', 'offsets'\]$"
     with pytest.raises(DomainError, match=listed):
         reverify(forged)
+    # a g_decimal is checked against the listed factors, which needs no sieve
+    with pytest.raises(DomainError, match=listed):
+        reverify({**forged, "g_decimal": "30"})
     assert heights and max(heights) <= 10**6
 
 
@@ -663,6 +621,16 @@ def test_reverify_raises_when_build_disagrees_with_the_sieve(monkeypatch, capsys
     assert json.loads(bundle)["context"]["t"] == 1
 
 
+def test_verify_admissible_never_reads_g_factors(monkeypatch):
+    def unread(self):
+        raise AssertionError("g_factors read")
+
+    cs = [build(ConstructionParams(*cell)) for cell in [(3, 1, 5), (29, 1, 12), (997, 1, 3)]]
+    monkeypatch.setattr(Construction, "g_factors", property(unread))
+    for c in cs:
+        assert verify_admissible(c).admissible
+
+
 @settings(max_examples=60, deadline=None)
 @given(_cells())
 def test_verify_admissible_equals_the_full_coefficient_report(cell):
@@ -673,28 +641,25 @@ def test_verify_admissible_equals_the_full_coefficient_report(cell):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_verify_admissible_on_hand_made_constructions(data):
-    # runs of progression primes, not always the least, with g_factors from
-    # units, primes, composites and multiples of the offsets, so both
-    # verdicts occur. No offset can share a factor with q: every offset is
-    # a mod q with gcd(a, q) = 1
+    # k terms of the progression, prime or not, that meet the size
+    # conditions: a composite offset shares its least prime factor with g,
+    # so both verdicts occur. No offset can share a factor with q: every
+    # offset is a mod q with gcd(a, q) = 1
     q, a, k = data.draw(_cells(q_max=12, k_max=6))
-    start = data.draw(st.integers(0, 8))
-    offsets = tuple(ap_primes_oracle(q, a, start + k)[start:])
+    terms = sorted(data.draw(st.sets(st.integers(1, 60), min_size=k, max_size=k)))
+    offsets = tuple(a % q + q * j for j in terms)
     if not (k < offsets[0] and offsets[-1] < offsets[0] ** 2):
         return
-    pool = sorted(({1, 4, 6, 9, 15, 49} | set(range(2, 40))
-                   | {2 * h for h in offsets} | {3 * h for h in offsets}) - set(offsets))
-    g_factors = tuple(sorted(data.draw(st.sets(st.sampled_from(pool), max_size=20))))
-    c = Construction(params=ConstructionParams(q=q, a=a, k=k), t=start, offsets=offsets,
-                     g_factors=g_factors, B=offsets[-1] - offsets[0])
+    c = Construction(params=ConstructionParams(q=q, a=a, k=k), t=0, offsets=offsets,
+                     B=offsets[-1] - offsets[0])
     assert verify_admissible(c) == is_admissible(as_ktuple(c))
 
 
 def test_verify_admissible_keeps_the_witness_of_a_blocked_offset():
-    # 2 * 13 shares 13 with an offset, so the form 13 vanishes mod 13
-    # everywhere; a unit and a composite factor change nothing else
-    c = build(ConstructionParams(q=3, a=1, k=5))
-    bad = dataclasses.replace(c, g_factors=(1, 2, 3, 4, 5, 11, 17, 23, 26, 29))
-    report = verify_admissible(bad)
-    assert report == is_admissible(as_ktuple(bad))
-    assert report.witness == (13, 13) and not report.admissible
+    # 25 = 5^2 is no prime, so 5, a g_factor above k = 3, divides the form
+    # 25 at every n: the primes up to k pass, and 5 is the witness
+    c = Construction(params=ConstructionParams(q=3, a=1, k=3), t=0,
+                     offsets=(7, 13, 25), B=18)
+    report = verify_admissible(c)
+    assert report == is_admissible(as_ktuple(c))
+    assert report == AdmissibilityReport(False, (5, 5), (2, 3, 5))

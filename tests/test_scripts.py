@@ -1,5 +1,6 @@
-"""The experiment scripts, run whole at toy size."""
+"""The experiment scripts and the benchmark workloads, run whole at toy size."""
 
+import json
 import re
 import subprocess
 import sys
@@ -9,7 +10,8 @@ import pytest
 
 from .test_cli import _subprocess_env
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 # lines each script must print once the wall time that ends some of them is
 # cut off; the power-law fit is left out, since its floats come from lstsq
@@ -43,3 +45,17 @@ def test_script_runs_at_toy_size(argv):
              for line in res.stdout.splitlines()]
     for want in EXPECTED[argv]:
         assert want in lines
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+@pytest.mark.parametrize("workload", ["grid", "scan"])
+def test_benchmark_workload_runs_at_toy_size(workload, trace):
+    # the benchmark reads Construction.g_factors, calls construction_from_dict
+    # and patches names across the package to trace it; a toy run that loses
+    # any of them fails an operation or stops
+    res = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"),
+                          "--workload", workload, "--toy", "--seconds", "0", "--trace", trace],
+                         capture_output=True, text=True, env=_subprocess_env(), timeout=300)
+    assert res.returncode == 0, res.stderr
+    result = json.loads(res.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), res.stderr

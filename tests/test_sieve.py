@@ -269,28 +269,32 @@ class TestAPIndex:
         idx = APIndex(q, a)
         idx.extend_to(want[-1] + 1)
         assert idx._members == want
-        assert idx.primes == trial_primes(want[-1])
         idx = APIndex(q, a)
         assert [idx.nth(i) for i in range(1, 31)] == want
-        assert idx.primes == trial_primes(idx.primes[-1])
 
     def test_ceiling_error(self, monkeypatch):
         monkeypatch.setattr(sieve, "HEIGHT_CEILING", 5000)
         with pytest.raises(ResourceError):
             APIndex(9973, 1).nth(1)
 
-    def test_budget_covers_the_kept_prime_list(self, monkeypatch):
-        # the first extension reaches 8*q = 800024, whose prime list is
-        # estimated at about 3 MiB; the sieve segments alone fit in 1 MiB
+    def test_budget_covers_the_kept_members(self, monkeypatch):
+        # below 10^6 the index keeps at most 10^6 // 3 + 2 members of 1 mod
+        # 3, charged at 40 bytes each, about 13 MB; the segments fit in 1 MiB
         monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "1")
-        with pytest.raises(ResourceError):
-            APIndex(100003, 1).nth(1)
+        with pytest.raises(ResourceError,
+                           match="^sieve needs 13333400 bytes, over the 1048576 byte budget$"):
+            APIndex(3, 1).extend_to(10**6)
+        # the first extension of a q = 100003 index reaches 800024 and keeps
+        # a handful of members, so 1 MiB is enough
+        assert APIndex(100003, 1).nth(1) == ap_primes_oracle(100003, 1, 1)[0]
 
     @pytest.mark.parametrize("q,a", [(3, 1), (4, 3), (29, 1)])
-    def test_keeps_every_prime_below_its_height(self, q, a):
+    def test_keeps_only_its_members(self, q, a):
         idx = APIndex(q, a)
-        assert idx.nth(30) in idx.primes
-        assert idx.primes == trial_primes(idx.primes[-1])
+        idx.nth(30)
+        assert not hasattr(idx, "primes")
+        assert set(vars(idx)) == {"q", "a", "_members", "_height"}
+        assert idx._members == ap_primes_oracle(q, a, len(idx._members))
 
 
 @settings(max_examples=30)
