@@ -11,7 +11,7 @@ import argparse
 from math import exp, log
 from time import perf_counter
 
-from shiu.bounds import LinnikConfig, bound_table, scaling_fit
+from shiu.bounds import bound_table, scaling_fit
 
 
 def main() -> None:
@@ -25,7 +25,7 @@ def main() -> None:
     rows = bound_table(
         range(3, args.q_max + 1),
         range(2, args.k_max + 1),
-        linnik=LinnikConfig(L=args.L),
+        L=args.L,
     )
     print(f"built {len(rows)} grid cells in {perf_counter() - t0:.2f}s")
 

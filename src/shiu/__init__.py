@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 
 # submodule -> the names it exports through the package
 _EXPORTS = {
-    "bounds": ("BoundRow", "LinnikConfig", "ScalingFit", "bound_table",
-               "scaling_fit"),
+    "bounds": ("BoundRow", "ScalingFit", "bound_table", "scaling_fit",
+               "window_cap"),
     "construction": ("Construction", "ConstructionParams", "WindowReport",
                      "as_ktuple", "build", "choose_t", "reverify",
                      "scan_windows", "verify_admissible", "verify_isolation"),

@@ -3,16 +3,17 @@
 B is the diameter of the chosen offsets, so it depends only on where the
 first k usable progression primes sit. The table builder sweeps (q, a, k)
 grids, records B next to the shift t that produced it, and checks t against
-the window suggested by a Linnik-type bound on the least progression prime.
-A cell that cannot be built ends the sweep with its error, as any command
-fails, so no row is ever left without its measurements. A small
+window_cap(k, L), the window a Linnik-type bound p(q, a) << q^L on the least
+progression prime suggests. Each row is a named tuple, so it equals the
+plain tuple of its fields. A cell that cannot be built ends the sweep with
+its error, as any command fails, so no row is ever left without its
+measurements. A small
 least-squares helper fits log B against log q and log k to expose the
 empirical growth rate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil, gcd, inf, log
 from typing import NamedTuple
 
@@ -23,28 +24,13 @@ from .sieve import APIndex, check_progression
 DEFAULT_LINNIK_EXPONENT = 5.0
 
 
-@dataclass(frozen=True)
-class LinnikConfig:
-    """Window policy: with p(q, a) << q^L, the shift t should fall within
-    t <= (k - 1) * M + k where M = max(k, ceil(L))."""
-
-    L: float = DEFAULT_LINNIK_EXPONENT
-
-    def __post_init__(self):
-        if self.L <= 0:
-            raise DomainError("L must be positive")
-        if not self.L < inf:  # inf or nan, which ceil refuses
-            raise DomainError(f"L must be finite, got {self.L}")
-
-    def m_for(self, k: int) -> int:
-        return max(k, ceil(self.L))
-
-    def window_cap(self, k: int) -> int:
-        return (k - 1) * self.m_for(k) + k
+def window_cap(k: int, L: float) -> int:
+    """The shift window suggested by p(q, a) << q^L:
+    t <= (k - 1) * max(k, ceil(L)) + k."""
+    return (k - 1) * max(k, ceil(L)) + k
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(NamedTuple):
     """One grid cell. error is always None; it is kept only because the
     bounds JSON carries it."""
 
@@ -67,13 +53,17 @@ def bound_table(
     k_range,
     *,
     a: int | None = None,
-    linnik: LinnikConfig | None = None,
+    L: float = DEFAULT_LINNIK_EXPONENT,
 ) -> list[BoundRow]:
-    """Sweep the grid in lexicographic (q, a, k) order. With a=None every
-    residue coprime to each q is measured. One progression index is shared
-    across the k column so the sieve work is paid once per (q, a). Any
-    ShiuError from a cell, a resource limit included, ends the sweep."""
-    linnik = linnik or LinnikConfig()
+    """Sweep the grid in lexicographic (q, a, k) order, checking each shift
+    against window_cap(k, L). With a=None every residue coprime to each q
+    is measured. One progression index is shared across the k column so
+    the sieve work is paid once per (q, a). Any ShiuError from a cell, a
+    resource limit included, ends the sweep."""
+    if L <= 0:
+        raise DomainError("L must be positive")
+    if not L < inf:  # inf or nan, which ceil refuses
+        raise DomainError(f"L must be finite, got {L}")
     qs = sorted(set(q_range))
     ks = sorted(set(k_range))
     if not qs or not ks:
@@ -90,7 +80,7 @@ def bound_table(
         idx = APIndex(q, res)
         for k in ks:
             c = build(ConstructionParams(q, res, k), idx=idx)
-            cap = linnik.window_cap(k)
+            cap = window_cap(k, L)
             rows.append(BoundRow(q, res, k, c.t, c.B, cap, c.t <= cap))
     return rows
 

@@ -4,14 +4,15 @@ One subcommand per library capability: construct and verify certificates,
 scan windows, tabulate the diameter bound over a grid, and hunt strings of
 consecutive congruent primes. Identical invocations produce byte-identical
 output; all diagnostics go to stderr as one machine-parsable line. Exit
-statuses: 0 success, 1 bad input, nothing found, an unwritable --output or
-a closed stdout pipe, 2 resource limits, 3 internal inconsistency (a bug,
-reported with a reproduction bundle). Each handler checks its --format
-before any work, so an unavailable format is refused ahead of a bad
-parameter or certificate. This module writes every report but the
-certificate, which construction.py both writes and reads, each from the
-record's own fields. Each handler imports the modules it runs, so no
-subcommand pays for another's imports.
+statuses: 0 success, 1 bad input, nothing found, an output that cannot be
+opened or written or a closed stdout pipe, 2 resource limits and running
+out of memory, 3 internal inconsistency (a bug, reported with a
+reproduction bundle). Each handler checks its --format before any work, so
+an unavailable format is refused ahead of a bad parameter or certificate.
+This module writes every report but the certificate, which construction.py
+both writes and reads, each from the record's own fields: a report is a
+named tuple, so its _asdict() keys are its fields in order. Each handler
+imports the modules it runs, so no subcommand pays for another's imports.
 """
 
 from __future__ import annotations
@@ -96,23 +97,32 @@ def _build_parser() -> _Parser:
     return top
 
 
-def _emit(args, out: str | Iterable[str]) -> None:
-    """Write a handler's text, or its lines as they are produced. The first
-    line is taken before anything is written, so an input or resource error
-    a stream raises on start leaves stdout empty and creates no file."""
+def _emit(output: str | None, out: str | Iterable[str]) -> None:
+    """Write a handler's text, or its lines as they are produced, to the
+    output path or else to stdout. The first line is taken before anything
+    is written, so an input or resource error a stream raises on start
+    leaves stdout empty and creates no file. A failed write is a domain
+    error; a closed stdout pipe propagates as it is."""
     chunks = iter((out,) if isinstance(out, str) else out)
     first = next(chunks, "")
-    if args.output:
-        try:
-            f = open(args.output, "w")
-        except OSError as exc:
-            raise DomainError(f"cannot write output {args.output}: {exc}") from exc
-        with f:
-            f.write(first)
-            f.writelines(chunks)
-    else:
-        sys.stdout.write(first)
-        sys.stdout.writelines(chunks)
+    try:
+        if output:
+            with open(output, "w") as f:
+                f.write(first)
+                f.writelines(chunks)
+        else:
+            sys.stdout.write(first)
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+    except OSError as exc:
+        if output:
+            raise DomainError(f"cannot write output {output}: {exc}") from exc
+        # point stdout at devnull so that the flush at exit does not fail
+        # again, as the Python docs advise for a closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            raise
+        raise DomainError(f"cannot write output <stdout>: {exc}") from exc
 
 
 def _pick(args, default: str, allowed: tuple[str, ...]) -> str:
@@ -229,8 +239,7 @@ def _cmd_scan(args) -> str:
     c = reverify(_read_cert(args.cert))
     reports = scan_windows(c, args.n_lo, args.n_hi)
     if fmt == "json":
-        # a dataclass's field order is its key order
-        return "".join(json.dumps(vars(r)) + "\n" for r in reports)
+        return "".join(json.dumps(r._asdict()) + "\n" for r in reports)
     lines = []
     for r in reports:
         offs = ",".join(str(o) for o in r.prime_offsets)
@@ -246,17 +255,17 @@ def _cmd_scan(args) -> str:
 
 
 def _cmd_bounds(args) -> str:
-    from .bounds import LinnikConfig, bound_table
+    from .bounds import bound_table
 
     fmt = _pick(args, "csv", ("json", "csv"))
     rows = bound_table(
         range(args.q_min, args.q_max + 1),
         range(args.k_min, args.k_max + 1),
         a=args.a,
-        linnik=LinnikConfig(L=args.L),
+        L=args.L,
     )
     if fmt == "json":
-        return json.dumps([vars(r) for r in rows], indent=2) + "\n"
+        return json.dumps([r._asdict() for r in rows], indent=2) + "\n"
     # cells are ints or true/false, neither of which CSV quotes
     lines = [",".join(_BOUNDS_CSV_FIELDS)]
     lines += [",".join(_cell(getattr(r, f)) for f in _BOUNDS_CSV_FIELDS) for r in rows]
@@ -352,7 +361,7 @@ _HANDLERS = {
 }
 
 
-def _diagnose(kind: str, exc: Exception) -> None:
+def _diagnose(kind: str, exc: Exception | str) -> None:
     print(f"error: {kind}: {exc}", file=sys.stderr)
 
 
@@ -362,18 +371,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.seed_doc:
-            sys.stdout.write(_seed_doc())
+            _emit(None, _seed_doc())
         elif args.subcommand is None:
             raise DomainError("a subcommand is required (see --help)")
         else:
-            _emit(args, _HANDLERS[args.subcommand](args))
-        sys.stdout.flush()
+            _emit(args.output, _HANDLERS[args.subcommand](args))
         return 0
     except BrokenPipeError:
-        # the reader closed stdout (say, `| head`); point it at devnull so
-        # the flush at exit does not fail again, as the Python docs advise
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        return 1  # the reader closed stdout, as `| head` does
     except NotFoundError as exc:
         _diagnose("not-found", exc)
         return 1
@@ -382,6 +387,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ResourceError as exc:
         _diagnose("resource", exc)
+        return 2
+    except MemoryError:
+        _diagnose("resource", "out of memory")
         return 2
     except InternalConsistencyError as exc:
         _diagnose("internal", exc)

@@ -31,6 +31,7 @@ from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, localcontext
 from itertools import compress, filterfalse
 from math import gcd, isqrt, log, prod
 from operator import lt, mul
+from typing import NamedTuple
 
 from .errors import DomainError, InternalConsistencyError, ResourceError
 from .primality import classify_prime
@@ -95,14 +96,10 @@ class Construction:
         return tuple(filterfalse(set(self.offsets).__contains__,
                                  primes_up_to(self.offsets[-1])))
 
-    def g_value(self) -> int:
-        """The coefficient quotient multiplied out (can run to hundreds of
-        thousands of digits), by a product tree."""
-        return _product(self.g_factors)
-
     def coefficient(self) -> int:
-        """The common form coefficient g*q."""
-        return self.g_value() * self.params.q
+        """The common form coefficient g*q, multiplied out by a product tree
+        (g can run to hundreds of thousands of digits)."""
+        return _product(self.g_factors) * self.params.q
 
 
 def _product(xs):
@@ -276,8 +273,7 @@ def verify_isolation(c: Construction) -> list[tuple[int, int]]:
     return list(zip(compress(range(lo, stop), keep), compress(least, keep)))
 
 
-@dataclass(frozen=True)
-class WindowReport:
+class WindowReport(NamedTuple):
     """Outcome of deciding the primality of every integer in one window.
 
     prime_offsets: offsets whose form value is prime at this n.

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter, lt
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, NotFoundError
 from .sieve import _prime_arrays, check_progression
@@ -162,8 +161,7 @@ def first_string(q: int, a: int, m: int, *, cap: int = DEFAULT_HEIGHT_CAP) -> Sh
 # -- diameter summaries ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiameterStats:
+class DiameterStats(NamedTuple):
     """Summary of string diameters. The None fields appear only for an
     empty input, which yields an empty histogram rather than an error."""
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import DomainError, ResourceError
 from .primality import classify_prime
@@ -52,8 +53,7 @@ class KTuple:
         return len(self.forms)
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     """Verdict plus the evidence examined to reach it.
 
     witness is (p, covered) for the first prime whose residue classes are

@@ -14,7 +14,7 @@ from time import perf_counter
 import pytest
 import sympy
 
-from shiu.bounds import LinnikConfig, bound_table
+from shiu.bounds import bound_table, window_cap
 from shiu.construction import (
     ConstructionParams,
     build,
@@ -99,7 +99,7 @@ def test_3_worked_example_is_exact(announce):
         assert c.t == 0
         assert c.offsets == (7, 13, 19, 31, 37)
         assert c.g_factors == (2, 3, 5, 11, 17, 23, 29)
-        assert c.g_value() == 3741870
+        assert c.coefficient() == 3741870 * 3
         assert c.B == 30
 
 
@@ -170,9 +170,8 @@ def test_6_found_strings_survive_reverification(announce):
 
 def test_7_shift_windows_and_bound_table(announce):
     with announce("7/8 shift windows and bound table"):
-        linnik = LinnikConfig(L=5.0)
-        rows = bound_table(GRID_Q, GRID_K, linnik=linnik)
-        again = bound_table(GRID_Q, GRID_K, linnik=linnik)
+        rows = bound_table(GRID_Q, GRID_K, L=5.0)
+        again = bound_table(GRID_Q, GRID_K, L=5.0)
         assert rows == again
         for row in rows:
             assert row.error is None
@@ -180,7 +179,7 @@ def test_7_shift_windows_and_bound_table(announce):
             assert row.B % row.q == 0
             # every shift on this grid lies in its window, so the oracle
             # searches only that far and fails the test if it finds none
-            cap = linnik.window_cap(row.k)
+            cap = window_cap(row.k, 5.0)
             assert row.t_in_window == (choose_t_oracle(row.q, row.a, row.k, t_max=cap) <= cap)
 
 

@@ -9,9 +9,9 @@ import shiu.sieve as sieve
 from shiu import cli
 from shiu.bounds import (
     BoundRow,
-    LinnikConfig,
     bound_table,
     scaling_fit,
+    window_cap,
 )
 from shiu.errors import DomainError, ResourceError
 
@@ -19,14 +19,11 @@ from ._oracles import choose_t_oracle
 
 
 def test_linnik_window_arithmetic():
-    cfg = LinnikConfig(L=5.0)
-    assert cfg.m_for(5) == 5
-    assert cfg.window_cap(5) == 25
-    assert cfg.m_for(12) == 12
-    assert cfg.window_cap(12) == 144
-    assert LinnikConfig(L=6.2).m_for(3) == 7
+    assert window_cap(5, 5.0) == 25
+    assert window_cap(12, 5.0) == 144
+    assert window_cap(3, 6.2) == 2 * 7 + 3
     with pytest.raises(DomainError):
-        LinnikConfig(L=0)
+        bound_table([3], [5], L=0)
 
 
 @pytest.mark.parametrize("L,message", [
@@ -36,12 +33,15 @@ def test_linnik_window_arithmetic():
     (float("1e400"), "L must be finite"),
 ], ids=["zero", "negative", "-inf", "inf", "nan", "1e400"])
 def test_linnik_exponent_must_be_positive_and_finite(L, message):
+    # checked before anything else, so even an empty grid reports it
     with pytest.raises(DomainError, match=message):
-        LinnikConfig(L=L)
+        bound_table([], [], L=L)
 
 
 def test_linnik_exponent_may_be_a_huge_integer():
-    assert LinnikConfig(L=10**400).m_for(3) == 10**400
+    assert window_cap(3, 10**400) == 2 * 10**400 + 3
+    [row] = bound_table([3], [5], a=1, L=10**400)
+    assert row.window_cap == 4 * 10**400 + 5 and row.t_in_window
 
 
 def test_bound_table_worked_examples():

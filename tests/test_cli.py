@@ -341,7 +341,7 @@ class TestScan:
         assert code == 0
         c = build(ConstructionParams(q=3, a=1, k=5))
         assert [json.loads(line) for line in out.splitlines()] == [
-            {**vars(r), "prime_offsets": list(r.prime_offsets)}
+            {**r._asdict(), "prime_offsets": list(r.prime_offsets)}
             for r in scan_windows(c, 1, 20)]
 
     def test_repeat_scans_are_byte_identical(self, capsys, tmp_path):
@@ -635,7 +635,7 @@ def test_small_commands_never_import_numpy(tmp_path):
         (("--seed-doc",), small),
         (("search", "--q", "3", "--a", "1", "--m", "2", "--cap", "100000",
           "--all", "--format", "csv"),
-         {"shiu.construction", "shiu.bounds", "shiu.tuples", "decimal"}),
+         {"shiu.construction", "shiu.bounds", "shiu.tuples", "decimal", "dataclasses"}),
     )
     for argv, forbidden in commands:
         res = subprocess.run([sys.executable, "-X", "importtime", "-m", "shiu", *argv],
@@ -663,6 +663,33 @@ def test_internal_error_emits_repro_bundle(capsys, monkeypatch):
     payload = json.loads(bundle)
     assert payload["argv"] == argv
     assert payload["context"] == {"q": 3, "detail": "test"}
+
+
+def test_out_of_memory_exits_two_with_one_line(capsys, monkeypatch):
+    def exhaust(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._HANDLERS, "construct", exhaust)
+    code, out, err = run(capsys, "construct", "--q", "3", "--a", "1", "--k", "5")
+    assert (code, out, err) == (2, "", "error: resource: out of memory\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv,target", [
+    (("construct", "--q", "3", "--a", "1", "--k", "5", "--output", "/dev/full"), "/dev/full"),
+    (("construct", "--q", "3", "--a", "1", "--k", "5"), "<stdout>"),
+    (("search", "--q", "3", "--a", "1", "--m", "2", "--cap", "100000", "--all"), "<stdout>"),
+    (("--seed-doc",), "<stdout>"),
+], ids=["output", "stdout", "stdout-stream", "seed-doc"])
+def test_a_failed_write_exits_one_with_one_line(argv, target):
+    # /dev/full accepts the open and fails every write with ENOSPC; stdout
+    # fails on its flush, and the flush at exit must not report it again
+    with open("/dev/full", "w") as full:
+        res = subprocess.run([sys.executable, "-m", "shiu", *argv], stdout=full,
+                             stderr=subprocess.PIPE, text=True, env=_subprocess_env())
+    assert res.returncode == 1
+    [line] = res.stderr.splitlines()
+    assert line.startswith(f"error: domain: cannot write output {target}: [Errno 28] "), line
 
 
 def test_seed_doc_walkthrough(capsys):

@@ -96,8 +96,7 @@ def test_build_worked_example():
     assert c.offsets == EX_OFFSETS
     assert c.g_factors == EX_G_FACTORS
     assert c.B == 30
-    assert c.g_value() == EX_G
-    assert c.coefficient() == EX_COEFF
+    assert c.coefficient() == EX_COEFF == EX_G * 3
 
 
 def test_build_second_example():
@@ -348,7 +347,7 @@ SCAN_CERTS = [(3, 1, 5), (5, 2, 6)]
 
 
 def _scan(c, lo, hi):
-    return [{**vars(r), "prime_offsets": list(r.prime_offsets)}
+    return [{**r._asdict(), "prime_offsets": list(r.prime_offsets)}
             for r in scan_windows(c, lo, hi)]
 
 
@@ -509,8 +508,8 @@ def test_product_tree_equals_a_running_product():
         assert construction._product(xs) == prod(xs)
         assert construction._decimal(xs) == str(Decimal(prod(xs)))
     c = build(ConstructionParams(q=997, a=1, k=3))
-    g = c.g_value()
-    assert g == prod(c.g_factors) and c.coefficient() == 997 * g
+    g = prod(c.g_factors)
+    assert c.coefficient() == 997 * g
     # past the int-string digit limit: 12,021 digits
     assert construction._decimal(c.g_factors) == str(Decimal(g))
 

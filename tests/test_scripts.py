@@ -47,10 +47,13 @@ def test_script_runs_at_toy_size(argv):
         assert want in lines
 
 
-@pytest.mark.parametrize("trace", ["0", "1"])
-@pytest.mark.parametrize("workload", ["grid", "scan"])
+@pytest.mark.parametrize("workload,trace", [
+    ("census", "0"), ("census", "1"), ("grid", "0"), ("grid", "1"),
+    ("scan", "0"), ("scan", "1"), ("cli", "0"),
+])
 def test_benchmark_workload_runs_at_toy_size(workload, trace):
-    # the benchmark reads Construction.g_factors, calls construction_from_dict
+    # the benchmark reads Construction.g_factors and DiameterStats fields,
+    # calls construction_from_dict, checks the bounds JSON of `python -m shiu`
     # and patches names across the package to trace it; a toy run that loses
     # any of them fails an operation or stops
     res = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"),
