@@ -199,12 +199,11 @@ def _read_cert(path: str) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read certificate {path}: {exc}") from exc
     try:
-        data = json.loads(text, object_pairs_hook=_unique_fields)
+        return json.loads(text, object_pairs_hook=_unique_fields)
     except (ValueError, RecursionError) as exc:
         # ValueError covers bad syntax and integers past the int-string
         # digit limit; RecursionError, nesting deeper than the parser goes
         raise DomainError(f"malformed certificate JSON: {exc}") from exc
-    return data
 
 
 def _unique_fields(pairs: list) -> dict:
@@ -220,13 +219,14 @@ def _unique_fields(pairs: list) -> dict:
 
 
 def _cmd_verify(args) -> str:
-    from .construction import construction_to_json, reverify
+    from .construction import cert_to_json, reverify
 
     fmt = _pick(args, "text", ("json", "text"))
     data = _read_cert(args.cert)
     c = reverify(data)
     if fmt == "json":
-        return construction_to_json(c, include_g="g_decimal" in data)
+        # reverify has checked every field, so they are written as read
+        return cert_to_json(data)
     p = c.params
     return (f"ok: certificate re-derived and checked "
             f"(q={p.q} a={p.a} k={p.k} t={c.t} B={c.B})\n")

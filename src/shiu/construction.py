@@ -10,23 +10,25 @@ primes the window contains sit at the offsets: they are consecutive primes,
 all congruent to a modulo q, within an interval of length
 B = l_{t+k} - l_{t+1}.
 
-g is a function of the offsets, so a Construction does not hold it:
-g_factors is derived, from one sieve, each time an output or a check reads
-it. A certificate read back is checked against that definition, not
-against build: reverify sieves once, exactly to the certificate's last
-offset, and reads from that one list the progression members, the least
-shift and the g_factors, which it compares with the certificate's list.
-Neither check that follows reads g_factors. Admissibility is decided on q
-times the primes up to k and those dividing an offset, and isolation on a
-one-byte-per-integer cover of the window: the primes up to the square
-root of the last offset strike every composite, and each prime of the
-window covers its own slot. g is multiplied out only where an output holds
-it, by a product tree.
+ConstructionParams and Construction are named tuples whose constructor
+validates them. g is a function of the offsets, so a Construction does
+not hold it: g_factors is derived, from one sieve, each time an output or
+a check reads it. A certificate read back is checked against that
+definition, not against build: reverify sieves once, exactly to the
+certificate's last offset, and reads from that one list the progression
+members, the least shift and the g_factors, which it compares with the
+certificate's list. Neither check that follows reads g_factors.
+Admissibility is decided on q times the primes up to k and those dividing
+an offset, and isolation on a one-byte-per-integer cover of the window:
+the primes up to the square root of the last offset strike every
+composite, and each prime of the window covers its own slot. g is
+multiplied out only where an output holds it, by a product tree, and a
+checked certificate is written back from its own fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, localcontext
 from itertools import compress, filterfalse
 from math import gcd, isqrt, log, prod
@@ -42,51 +44,48 @@ from .tuples import AdmissibilityReport, KTuple, LinearForm, is_admissible
 SHIFT_CAP = 10**6  # largest shift choose_t tries before a ResourceError
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
-    """Inputs (q, a, k)."""
+class ConstructionParams(namedtuple("ConstructionParams", "q a k")):
+    """Inputs (q, a, k). Only the constructor validates: _make and _replace
+    skip it."""
 
-    q: int
-    a: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_progression(self.q, self.a)
-        if self.k < 2:
+    def __new__(cls, q: int, a: int, k: int):
+        check_progression(q, a)
+        if k < 2:
             raise DomainError("k must be >= 2")
+        return super().__new__(cls, q, a, k)
 
     @property
     def residue(self) -> int:
         return self.a % self.q
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(namedtuple("Construction", "params t offsets B")):
     """A complete certificate: shift, offsets and diameter. The coefficient
-    is a function of the offsets, so it is derived, not held.
+    is a function of the offsets, so it is derived, not held. Only the
+    constructor validates: _make and _replace skip it.
     """
 
-    params: ConstructionParams
-    t: int
-    offsets: tuple[int, ...]
-    B: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        k, q, res = self.params.k, self.params.q, self.params.residue
-        if self.t < 0:
+    def __new__(cls, params: ConstructionParams, t: int, offsets: tuple[int, ...], B: int):
+        k, q, res = params.k, params.q, params.residue
+        if t < 0:
             raise DomainError("shift must be nonnegative")
-        if len(self.offsets) != k:
-            raise DomainError(f"expected {k} offsets, got {len(self.offsets)}")
-        if not all(map(lt, self.offsets, self.offsets[1:])):
+        if len(offsets) != k:
+            raise DomainError(f"expected {k} offsets, got {len(offsets)}")
+        if not all(map(lt, offsets, offsets[1:])):
             raise DomainError("offsets must be strictly increasing")
-        if not k < self.offsets[0]:
+        if not k < offsets[0]:
             raise DomainError("need k < first offset")
-        if not self.offsets[-1] < self.offsets[0] ** 2:
+        if not offsets[-1] < offsets[0] ** 2:
             raise DomainError("need last offset below the square of the first")
-        if any(off % q != res for off in self.offsets):
+        if any(off % q != res for off in offsets):
             raise DomainError("every offset must be congruent to a mod q")
-        if self.B != self.offsets[-1] - self.offsets[0]:
+        if B != offsets[-1] - offsets[0]:
             raise DomainError("B must equal last offset minus first offset")
+        return super().__new__(cls, params, t, offsets, B)
 
     @property
     def g_factors(self) -> tuple[int, ...]:
@@ -342,12 +341,9 @@ _CERT_KEYS = ("q", "a", "k", "t", "offsets", "g_factors", "B", "g_decimal")
 
 
 def construction_to_dict(c: Construction, *, include_g: bool = False) -> dict:
-    out: dict = {"q": c.params.q, "a": c.params.a, "k": c.params.k}
-    out["t"] = c.t
-    out["offsets"] = list(c.offsets)
     g_factors = c.g_factors
-    out["g_factors"] = list(g_factors)
-    out["B"] = c.B
+    out = {"q": c.params.q, "a": c.params.a, "k": c.params.k, "t": c.t,
+           "offsets": list(c.offsets), "g_factors": list(g_factors), "B": c.B}
     if include_g:
         out["g_decimal"] = _decimal(g_factors)
     return out
@@ -363,13 +359,18 @@ def _decimal(factors) -> str:
 
 
 def construction_to_json(c: Construction, *, include_g: bool = False) -> str:
-    """The bytes of json.dumps(construction_to_dict(c, include_g=include_g),
-    indent=2) + "\n", written by join: json's indenting encoder is pure
-    Python, and a long certificate is nearly all one list of ints. Every
-    value is an int, a list of ints, never empty, or the digit string
-    g_decimal, which needs no escaping."""
+    return cert_to_json(construction_to_dict(c, include_g=include_g))
+
+
+def cert_to_json(cert: dict) -> str:
+    """The bytes of json.dumps(cert, indent=2) + "\n" for a certificate
+    dict, its fields in certificate order, written by join: json's
+    indenting encoder is pure Python, and a long certificate is nearly all
+    one list of ints. Every value is an int, a list of ints, never empty,
+    or the digit string g_decimal, which needs no escaping."""
     lines = []
-    for key, value in construction_to_dict(c, include_g=include_g).items():
+    for key in filter(cert.__contains__, _CERT_KEYS):
+        value = cert[key]
         if isinstance(value, list):
             value = "[\n    " + ",\n    ".join(map(str, value)) + "\n  ]"
         elif isinstance(value, str):
@@ -463,11 +464,7 @@ def reverify(data: dict) -> Construction:
             "the sieve derivation refused a certificate that build re-derives",
             context=data,
         )
-    report = verify_admissible(claimed)
-    if not report.admissible:
-        raise InternalConsistencyError(
-            "re-derived construction is not admissible",
-            context=data,
-        )
+    if not verify_admissible(claimed).admissible:
+        raise InternalConsistencyError("re-derived construction is not admissible", context=data)
     _check_cover(claimed)
     return claimed

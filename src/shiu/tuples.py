@@ -5,12 +5,13 @@ residues n mod p at which the product of the forms vanishes cover fewer
 than p classes. Only finitely many primes can achieve full coverage: any
 p exceeding the tuple length covers at most k < p classes unless some form
 has p dividing both its coefficient and its constant. That observation
-gives the finite check set used here.
+gives the finite check set used here. LinearForm and KTuple are named
+tuples whose constructor validates them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 from typing import NamedTuple
 
@@ -21,32 +22,33 @@ from .sieve import primes_up_to
 TRIAL_LIMIT = 10**6  # largest trial divisor tried when factoring a gcd(g, h)
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """g*x + h with a positive integer coefficient g and integer constant h."""
+class LinearForm(namedtuple("LinearForm", "g h")):
+    """g*x + h with a positive integer coefficient g and integer constant h.
+    Only the constructor validates: _make and _replace skip it."""
 
-    g: int
-    h: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.g < 1:
+    def __new__(cls, g: int, h: int):
+        if g < 1:
             raise DomainError("form coefficient must be a positive integer")
+        return super().__new__(cls, g, h)
 
     def value(self, n: int) -> int:
         return self.g * n + self.h
 
 
-@dataclass(frozen=True)
-class KTuple:
-    """An ordered tuple of pairwise distinct linear forms."""
+class KTuple(namedtuple("KTuple", "forms")):
+    """An ordered tuple of pairwise distinct linear forms. Only the
+    constructor validates: _make and _replace skip it."""
 
-    forms: tuple[LinearForm, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.forms) < 1:
+    def __new__(cls, forms: tuple[LinearForm, ...]):
+        if len(forms) < 1:
             raise DomainError("a tuple needs at least one form")
-        if len({(f.g, f.h) for f in self.forms}) != len(self.forms):
+        if len(set(forms)) != len(forms):
             raise DomainError("forms must be pairwise distinct")
+        return super().__new__(cls, forms)
 
     @property
     def k(self) -> int:

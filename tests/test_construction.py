@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from decimal import Decimal
 from math import gcd, prod
 from unittest.mock import patch
@@ -35,6 +37,7 @@ from ._oracles import (
     trial_primes,
     window_oracle,
 )
+from .test_tuples import refuses
 
 # the worked example, every field pinned by independent derivation
 EX_OFFSETS = (7, 13, 19, 31, 37)
@@ -57,13 +60,36 @@ def _cells(draw, q_max=30, k_max=12):
 
 
 def test_params_validation():
-    with pytest.raises(DomainError):
-        ConstructionParams(q=2, a=1, k=5)
-    with pytest.raises(DomainError, match="gcd"):
-        ConstructionParams(q=4, a=2, k=5)
-    with pytest.raises(DomainError):
-        ConstructionParams(q=3, a=1, k=1)
+    refuses(ConstructionParams, {"q": 2, "a": 1, "k": 5}, "q must be >= 3")
+    refuses(ConstructionParams, {"q": 4, "a": 2, "k": 5}, "gcd")
+    refuses(ConstructionParams, {"q": 3, "a": 1, "k": 1}, "k must be >= 2")
     assert ConstructionParams(q=3, a=4, k=2).residue == 1
+
+
+def _inputs():
+    """One of each validated input, with the plain tuple of its fields."""
+    params = ConstructionParams(q=3, a=1, k=5)
+    c = build(params)
+    t = as_ktuple(c)
+    return {"ConstructionParams": (params, (3, 1, 5)),
+            "Construction": (c, (params, 0, EX_OFFSETS, 30)),
+            "LinearForm": (t.forms[0], (EX_COEFF, 7)),
+            "KTuple": (t, (tuple((EX_COEFF, h) for h in EX_OFFSETS),))}
+
+
+@pytest.mark.parametrize("name", ["ConstructionParams", "Construction", "LinearForm", "KTuple"])
+def test_an_input_is_the_tuple_of_its_fields(name):
+    record, fields = _inputs()[name]
+    assert type(record).__name__ == name
+    assert record == fields and hash(record) == hash(fields)
+    assert tuple(record) == fields and len(record) == len(fields)
+
+
+@pytest.mark.parametrize("name", ["ConstructionParams", "Construction", "LinearForm", "KTuple"])
+def test_an_input_survives_a_copy_and_a_pickle_round_trip(name):
+    record, _ = _inputs()[name]
+    for back in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert back == record and type(back) is type(record)
 
 
 def test_choose_t_known_values():
@@ -127,15 +153,14 @@ def test_build_refuses_an_index_for_another_progression():
 def test_construction_validation_catches_tampering():
     c = build(ConstructionParams(q=3, a=1, k=5))
     good = dict(params=c.params, t=c.t, offsets=c.offsets, B=c.B)
-    for field, bad in [
-        ("offsets", (7, 13, 19, 37, 31)),
-        ("offsets", (7, 13, 19, 31)),
-        ("offsets", (11, 13, 19, 31, 37)),
-        ("B", 31),
-        ("t", -1),
+    for field, bad, message in [
+        ("offsets", (7, 13, 19, 37, 31), "strictly increasing"),
+        ("offsets", (7, 13, 19, 31), "expected 5 offsets, got 4"),
+        ("offsets", (11, 13, 19, 31, 37), "congruent to a mod q"),
+        ("B", 31, "B must equal last offset minus first offset"),
+        ("t", -1, "shift must be nonnegative"),
     ]:
-        with pytest.raises(DomainError):
-            Construction(**{**good, field: bad})
+        refuses(Construction, {**good, field: bad}, message)
 
 
 def test_verify_isolation_charges_the_pairs_it_returns(monkeypatch):
@@ -151,13 +176,13 @@ def test_verify_isolation_charges_the_pairs_it_returns(monkeypatch):
 
 def test_size_conditions_are_enforced():
     # 5 offsets of 1 mod 3 with the last at 61 >= 49 = 7^2
-    with pytest.raises(DomainError, match="square"):
-        Construction(params=ConstructionParams(q=3, a=1, k=5), t=0,
-                     offsets=(7, 13, 19, 31, 61), B=54)
+    refuses(Construction, {"params": ConstructionParams(q=3, a=1, k=5), "t": 0,
+                           "offsets": (7, 13, 19, 31, 61), "B": 54},
+            "need last offset below the square of the first")
     # k = 7 is not below the first offset 7
-    with pytest.raises(DomainError, match="first offset"):
-        Construction(params=ConstructionParams(q=3, a=1, k=7), t=0,
-                     offsets=(7, 13, 19, 31, 37, 43, 61), B=54)
+    refuses(Construction, {"params": ConstructionParams(q=3, a=1, k=7), "t": 0,
+                           "offsets": (7, 13, 19, 31, 37, 43, 61), "B": 54},
+            "need k < first offset")
 
 
 def test_as_ktuple_shape():

@@ -29,13 +29,25 @@ def test_unknown_name_raises_attribute_error():
         shiu.make_tuple
 
 
-def test_import_loads_no_submodule():
+def _imported(code: str) -> set[str]:
+    """The modules a fresh interpreter imports to run code."""
     src = str(Path(shiu.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    res = subprocess.run([sys.executable, "-X", "importtime", "-c", "import shiu"],
+    res = subprocess.run([sys.executable, "-X", "importtime", "-c", code],
                          capture_output=True, text=True, env=env, check=True)
-    imported = {line.rsplit("|", 1)[-1].strip()
-                for line in res.stderr.splitlines() if line.startswith("import time:")}
+    return {line.rsplit("|", 1)[-1].strip()
+            for line in res.stderr.splitlines() if line.startswith("import time:")}
+
+
+def test_import_loads_no_submodule():
+    imported = _imported("import shiu")
     assert "shiu" in imported
     assert not {name for name in imported if name.startswith("shiu.")}
+
+
+def test_construction_and_bounds_load_neither_dataclasses_nor_inspect():
+    # the imports the benchmark's grid and scan workloads set up with
+    imported = _imported("import shiu.bounds, shiu.construction")
+    assert {"shiu.bounds", "shiu.construction", "shiu.tuples"} <= imported
+    assert not {"dataclasses", "inspect"} & imported

@@ -27,19 +27,23 @@ def ktuple(pairs) -> KTuple:
     return KTuple(tuple(LinearForm(g, h) for g, h in pairs))
 
 
+def refuses(cls, fields: dict, message: str) -> None:
+    """cls refuses fields, given by position and by keyword, with message."""
+    for args, kwargs in ((tuple(fields.values()), {}), ((), fields)):
+        with raises(DomainError, match=message):
+            cls(*args, **kwargs)
+
+
 def test_form_validation():
-    with raises(DomainError):
-        LinearForm(0, 5)
-    with raises(DomainError):
-        LinearForm(-2, 5)
+    refuses(LinearForm, {"g": 0, "h": 5}, "form coefficient must be a positive integer")
+    refuses(LinearForm, {"g": -2, "h": 5}, "form coefficient must be a positive integer")
     assert LinearForm(3, -7).value(4) == 5
 
 
 def test_tuple_rejects_duplicates_and_empty():
-    with raises(DomainError):
-        ktuple([(2, 1), (2, 1)])
-    with raises(DomainError):
-        KTuple(())
+    refuses(KTuple, {"forms": (LinearForm(2, 1), LinearForm(2, 1))},
+            "forms must be pairwise distinct")
+    refuses(KTuple, {"forms": ()}, "a tuple needs at least one form")
 
 
 def test_coverage_known_cases():
