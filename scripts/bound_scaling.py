@@ -11,7 +11,9 @@ import argparse
 from math import exp, log
 from time import perf_counter
 
-from shiu.bounds import bound_table, scaling_fit
+import numpy as np
+
+from shiu.bounds import bound_table
 
 
 def main() -> None:
@@ -20,6 +22,8 @@ def main() -> None:
     ap.add_argument("--k-max", type=int, default=14)
     ap.add_argument("--L", type=float, default=5.0)
     args = ap.parse_args()
+    if args.q_max < 4 or args.k_max < 3:
+        ap.error("need --q-max >= 4 and --k-max >= 3, so that q and k both vary")
 
     t0 = perf_counter()
     rows = bound_table(
@@ -29,14 +33,17 @@ def main() -> None:
     )
     print(f"built {len(rows)} grid cells in {perf_counter() - t0:.2f}s")
 
-    fit = scaling_fit(rows)
-    print(f"fit over {fit.n_points} points: "
-          f"B ~ {exp(fit.log_constant):.3g} * q^{fit.exponent_q:.3f}"
-          f" * k^{fit.exponent_k:.3f} (rms residual {fit.rms_residual:.3f})")
+    # least squares for log B ~ c + e_q*log q + e_k*log k; every row has B > 0
+    design = np.array([[1.0, log(r.q), log(r.k)] for r in rows])
+    ys = np.array([log(r.B) for r in rows])
+    coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
+    c, e_q, e_k = map(float, coef)
+    rms = float(np.sqrt(np.mean((ys - design @ coef) ** 2)))
+    print(f"fit over {len(rows)} points: B ~ {exp(c):.3g} * q^{e_q:.3f}"
+          f" * k^{e_k:.3f} (rms residual {rms:.3f})")
 
     def predicted(r):
-        return (fit.log_constant + fit.exponent_q * log(r.q)
-                + fit.exponent_k * log(r.k))
+        return c + e_q * log(r.q) + e_k * log(r.k)
 
     worst = sorted(rows, key=lambda r: abs(log(r.B) - predicted(r)))[-5:]
     print("largest deviations from the fit:")

@@ -12,11 +12,10 @@ __version__ = "0.1.0"
 
 # submodule -> the names it exports through the package
 _EXPORTS = {
-    "bounds": ("BoundRow", "ScalingFit", "bound_table", "scaling_fit",
-               "window_cap"),
+    "bounds": ("BoundRow", "bound_table", "window_cap"),
     "construction": ("Construction", "ConstructionParams", "WindowReport",
-                     "as_ktuple", "build", "choose_t", "reverify",
-                     "scan_windows", "verify_admissible", "verify_isolation"),
+                     "build", "choose_t", "reverify", "scan_windows",
+                     "verify_admissible", "verify_isolation"),
     "errors": ("DomainError", "InternalConsistencyError", "NotFoundError",
                "ResourceError", "ShiuError"),
     "primality": (),

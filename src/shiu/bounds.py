@@ -7,14 +7,12 @@ window_cap(k, L), the window a Linnik-type bound p(q, a) << q^L on the least
 progression prime suggests. Each row is a named tuple, so it equals the
 plain tuple of its fields. A cell that cannot be built ends the sweep with
 its error, as any command fails, so no row is ever left without its
-measurements. A small
-least-squares helper fits log B against log q and log k to expose the
-empirical growth rate.
+measurements.
 """
 
 from __future__ import annotations
 
-from math import ceil, gcd, inf, log
+from math import ceil, gcd, inf
 from typing import NamedTuple
 
 from .construction import ConstructionParams, build
@@ -83,49 +81,3 @@ def bound_table(
             cap = window_cap(k, L)
             rows.append(BoundRow(q, res, k, c.t, c.B, cap, c.t <= cap))
     return rows
-
-
-class ScalingFit(NamedTuple):
-    exponent_q: float
-    exponent_k: float
-    log_constant: float
-    rms_residual: float
-    n_points: int
-
-
-def scaling_fit(rows: list[BoundRow]) -> ScalingFit:
-    """Least squares for log B ~ c + e_q*log q + e_k*log k over the rows
-    with B > 0. A column with no variation (all q equal, or all k
-    equal) is dropped from the design and its exponent reported as 0; with
-    both constant there is nothing to fit."""
-    import numpy as np  # only here, so that no other command pays for it
-
-    good = [r for r in rows if r.B > 0]
-    if len(good) < 2:
-        raise DomainError("need at least two rows with B > 0 to fit")
-    qs = np.array([log(r.q) for r in good])
-    ks = np.array([log(r.k) for r in good])
-    ys = np.array([log(r.B) for r in good])
-    vary_q = not np.allclose(qs, qs[0])
-    vary_k = not np.allclose(ks, ks[0])
-    if not vary_q and not vary_k:
-        raise DomainError("all rows share one (q, k); nothing to fit")
-    cols = [np.ones_like(ys)]
-    if vary_q:
-        cols.append(qs)
-    if vary_k:
-        cols.append(ks)
-    design = np.column_stack(cols)
-    coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    pos = 1
-    e_q = e_k = 0.0
-    if vary_q:
-        e_q = float(coef[pos])
-        pos += 1
-    if vary_k:
-        e_k = float(coef[pos])
-    resid = ys - design @ coef
-    rms = float(np.sqrt(np.mean(resid**2)))
-    return ScalingFit(exponent_q=e_q, exponent_k=e_k,
-                      log_constant=float(coef[0]), rms_residual=rms,
-                      n_points=len(good))

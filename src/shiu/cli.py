@@ -236,6 +236,8 @@ def _cmd_scan(args) -> str:
     from .construction import reverify, scan_windows
 
     fmt = _pick(args, "json", ("json", "text"))
+    if args.n_lo < 0 or args.n_hi < args.n_lo:  # before the certificate is read
+        raise DomainError("need 0 <= n_lo <= n_hi")
     c = reverify(_read_cert(args.cert))
     reports = scan_windows(c, args.n_lo, args.n_hi)
     if fmt == "json":

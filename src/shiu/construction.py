@@ -155,12 +155,6 @@ def _charge_g_factors(q: int) -> None:
     _check_allocation(_prime_list_bytes(q))
 
 
-def as_ktuple(c: Construction) -> KTuple:
-    """The k forms coeff*x + offset with the shared materialized coefficient."""
-    coeff = c.coefficient()
-    return KTuple(tuple(LinearForm(coeff, h) for h in c.offsets))
-
-
 def verify_admissible(c: Construction) -> AdmissibilityReport:
     """Check admissibility by the specialized argument, then cross-check
     against the general tuple checker; disagreement is a bug.
@@ -340,15 +334,6 @@ def scan_windows(c: Construction, n_lo: int, n_hi: int) -> list[WindowReport]:
 _CERT_KEYS = ("q", "a", "k", "t", "offsets", "g_factors", "B", "g_decimal")
 
 
-def construction_to_dict(c: Construction, *, include_g: bool = False) -> dict:
-    g_factors = c.g_factors
-    out = {"q": c.params.q, "a": c.params.a, "k": c.params.k, "t": c.t,
-           "offsets": list(c.offsets), "g_factors": list(g_factors), "B": c.B}
-    if include_g:
-        out["g_decimal"] = _decimal(g_factors)
-    return out
-
-
 def _decimal(factors) -> str:
     """The decimal digits of the product of factors. str(int) refuses more
     than sys.get_int_max_str_digits() digits, and Decimal(int) converts in
@@ -359,7 +344,13 @@ def _decimal(factors) -> str:
 
 
 def construction_to_json(c: Construction, *, include_g: bool = False) -> str:
-    return cert_to_json(construction_to_dict(c, include_g=include_g))
+    """The certificate of c, with g_decimal when include_g is set."""
+    g_factors = c.g_factors
+    cert = {"q": c.params.q, "a": c.params.a, "k": c.params.k, "t": c.t,
+            "offsets": list(c.offsets), "g_factors": list(g_factors), "B": c.B}
+    if include_g:
+        cert["g_decimal"] = _decimal(g_factors)
+    return cert_to_json(cert)
 
 
 def cert_to_json(cert: dict) -> str:

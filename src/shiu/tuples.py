@@ -33,9 +33,6 @@ class LinearForm(namedtuple("LinearForm", "g h")):
             raise DomainError("form coefficient must be a positive integer")
         return super().__new__(cls, g, h)
 
-    def value(self, n: int) -> int:
-        return self.g * n + self.h
-
 
 class KTuple(namedtuple("KTuple", "forms")):
     """An ordered tuple of pairwise distinct linear forms. Only the

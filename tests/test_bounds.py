@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-from math import isclose, log
 
 import pytest
 
@@ -10,7 +9,6 @@ from shiu import cli
 from shiu.bounds import (
     BoundRow,
     bound_table,
-    scaling_fit,
     window_cap,
 )
 from shiu.errors import DomainError, ResourceError
@@ -99,40 +97,6 @@ def test_rows_with_in_window_t_imply_window_check():
     for row in bound_table(range(3, 8), range(2, 5)):
         want = choose_t_oracle(row.q, row.a, row.k) <= row.window_cap
         assert row.t_in_window == want
-
-
-class TestScalingFit:
-    @staticmethod
-    def _row(q, k, b):
-        return BoundRow(q=q, a=1, k=k, t=0, B=b, window_cap=10, t_in_window=True)
-
-    def test_constant_b_gives_zero_exponents(self):
-        rows = [self._row(q, k, 30) for q in (3, 5, 7) for k in (2, 3)]
-        fit = scaling_fit(rows)
-        assert isclose(fit.exponent_q, 0, abs_tol=1e-9)
-        assert isclose(fit.exponent_k, 0, abs_tol=1e-9)
-        assert isclose(fit.rms_residual, 0, abs_tol=1e-9)
-        assert isclose(fit.log_constant, log(30), rel_tol=1e-9)
-
-    def test_two_point_k_slope(self):
-        rows = [self._row(3, 2, 10), self._row(3, 4, 30)]
-        fit = scaling_fit(rows)
-        assert isclose(fit.exponent_k, log(3) / log(2), rel_tol=1e-9)
-        assert fit.exponent_q == 0.0
-        assert fit.n_points == 2
-
-    def test_degenerate_design_is_an_error(self):
-        rows = [self._row(3, 2, 10), self._row(3, 2, 10)]
-        with pytest.raises(DomainError):
-            scaling_fit(rows)
-        with pytest.raises(DomainError):
-            scaling_fit([self._row(3, 2, 10)])
-
-    def test_fit_completes_on_real_grid(self):
-        fit = scaling_fit(bound_table(range(3, 15), range(2, 8)))
-        assert fit.n_points == 372
-        assert fit.rms_residual == fit.rms_residual  # not NaN
-        assert fit.rms_residual < 10
 
 
 def _bounds(capsys, q_range, k_range, *extra):

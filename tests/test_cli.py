@@ -13,9 +13,7 @@ import pytest
 from shiu import cli, sieve
 from shiu.construction import (
     ConstructionParams,
-    as_ktuple,
     build,
-    construction_to_dict,
     construction_to_json,
     scan_windows,
 )
@@ -34,7 +32,8 @@ def test_construct_json_matches_library(capsys):
     code, out, err = run(capsys, "construct", "--q", "3", "--a", "1", "--k", "5")
     assert code == 0 and err == ""
     c = build(ConstructionParams(q=3, a=1, k=5))
-    assert json.loads(out) == construction_to_dict(c)
+    assert json.loads(out) == {"q": 3, "a": 1, "k": 5, "t": 0, "offsets": [7, 13, 19, 31, 37],
+                               "g_factors": [2, 3, 5, 11, 17, 23, 29], "B": 30}
     assert out == construction_to_json(c)
 
 
@@ -43,7 +42,7 @@ def test_construct_text_matches_library(capsys):
                        "--format", "text")
     assert code == 0
     c = build(ConstructionParams(q=3, a=1, k=5))
-    assert out == "".join(f"{f.g}*x+{f.h}\n" for f in as_ktuple(c).forms)
+    assert out == "".join(f"{c.coefficient()}*x+{h}\n" for h in c.offsets)
     assert out.splitlines()[0] == "11225610*x+7"
     assert out == ("11225610*x+7\n11225610*x+13\n11225610*x+19\n"
                    "11225610*x+31\n11225610*x+37\n")
@@ -381,6 +380,13 @@ class TestScan:
                              "--n-lo", "1", "--n-hi", "20", "--format", "text")
         assert code == 1 and out == ""
         assert err.startswith("error: domain:")
+
+    @pytest.mark.parametrize("n_lo,n_hi", [(3, 1), (-1, 2)])
+    def test_window_range_is_checked_before_the_certificate_is_read(
+            self, capsys, tmp_path, n_lo, n_hi):
+        code, out, err = run(capsys, "scan", "--cert", str(tmp_path / "absent.json"),
+                             "--n-lo", str(n_lo), "--n-hi", str(n_hi))
+        assert (code, out, err) == (1, "", "error: domain: need 0 <= n_lo <= n_hi\n")
 
 
 def test_bounds_csv_shape(capsys):

@@ -29,6 +29,12 @@ def test_unknown_name_raises_attribute_error():
         shiu.make_tuple
 
 
+@pytest.mark.parametrize("name", ["scaling_fit", "ScalingFit", "as_ktuple"])
+def test_a_deleted_export_raises_attribute_error(name):
+    with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+        getattr(shiu, name)
+
+
 def _imported(code: str) -> set[str]:
     """The modules a fresh interpreter imports to run code."""
     src = str(Path(shiu.__file__).resolve().parents[1])

@@ -14,7 +14,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 
 # lines each script must print once the wall time that ends some of them is
-# cut off; the power-law fit is left out, since its floats come from lstsq
+# cut off; the power-law fit's floats come from lstsq, so its line is matched
+# by a pattern below
 EXPECTED = {
     ("bound_scaling.py", "--q-max", "8", "--k-max", "5"): [
         "built 80 grid cells",
@@ -36,15 +37,37 @@ EXPECTED = {
 }
 
 
-@pytest.mark.parametrize("argv", sorted(EXPECTED), ids=lambda argv: argv[0])
-def test_script_runs_at_toy_size(argv):
+def _run_script(argv) -> str:
     res = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
                          capture_output=True, text=True, env=_subprocess_env(), timeout=120)
     assert res.returncode == 0 and res.stderr == ""
+    return res.stdout
+
+
+@pytest.mark.parametrize("argv", sorted(EXPECTED), ids=lambda argv: argv[0])
+def test_script_runs_at_toy_size(argv):
+    stdout = _run_script(argv)
     lines = [re.sub(r"( in \d+\.\d+s| \(\d+\.\d+s\))$", "", line)
-             for line in res.stdout.splitlines()]
+             for line in stdout.splitlines()]
     for want in EXPECTED[argv]:
         assert want in lines
+
+
+def test_bound_scaling_fits_finite_numbers():
+    number = r"-?\d+(\.\d+)?(e[+-]\d+)?"  # never nan or inf
+    stdout = _run_script(("bound_scaling.py", "--q-max", "8", "--k-max", "5"))
+    assert re.search(rf"^fit over 80 points: B ~ {number} \* q\^{number} \* k\^{number}"
+                     rf" \(rms residual {number}\)$", stdout, re.MULTILINE), stdout
+
+
+@pytest.mark.parametrize("argv", [("--q-max", "3"), ("--k-max", "2")])
+def test_bound_scaling_refuses_a_grid_it_cannot_fit(argv):
+    # with q or k constant, the least-squares exponents are not determined
+    res = subprocess.run([sys.executable, str(SCRIPTS / "bound_scaling.py"), *argv],
+                         capture_output=True, text=True, env=_subprocess_env(), timeout=120)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr.endswith(
+        "error: need --q-max >= 4 and --k-max >= 3, so that q and k both vary\n")
 
 
 @pytest.mark.parametrize("workload,trace", [
@@ -62,3 +85,4 @@ def test_benchmark_workload_runs_at_toy_size(workload, trace):
     assert res.returncode == 0, res.stderr
     result = json.loads(res.stdout.splitlines()[-1])
     assert (result["correct"], result["failed"]) == (True, 0), res.stderr
+
