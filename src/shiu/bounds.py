@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import ceil, gcd, inf
 from typing import NamedTuple
 
-from .construction import ConstructionParams, build
+from .construction import choose_t
 from .errors import DomainError
 from .sieve import APIndex, check_progression
 
@@ -56,8 +56,9 @@ def bound_table(
     """Sweep the grid in lexicographic (q, a, k) order, checking each shift
     against window_cap(k, L). With a=None every residue coprime to each q
     is measured. One progression index is shared across the k column so
-    the sieve work is paid once per (q, a). Any ShiuError from a cell, a
-    resource limit included, ends the sweep."""
+    the sieve work is paid once per (q, a); each cell asks choose_t of it
+    for t and reads B = l_{t+k} - l_{t+1}, as build would. Any ShiuError
+    from a cell, a resource limit included, ends the sweep."""
     if L <= 0:
         raise DomainError("L must be positive")
     if not L < inf:  # inf or nan, which ceil refuses
@@ -77,7 +78,7 @@ def bound_table(
     for q, res in pairs:
         idx = APIndex(q, res)
         for k in ks:
-            c = build(ConstructionParams(q, res, k), idx=idx)
+            t = choose_t(idx.nth, k)
             cap = window_cap(k, L)
-            rows.append(BoundRow(q, res, k, c.t, c.B, cap, c.t <= cap))
+            rows.append(BoundRow(q, res, k, t, idx.nth(t + k) - idx.nth(t + 1), cap, t <= cap))
     return rows

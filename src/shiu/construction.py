@@ -1,10 +1,11 @@
 """Building tuples whose prime values are forced consecutive and congruent.
 
-Given a modulus q, a coprime residue a, and a length k, pick the least
-shift t for which the progression primes l_{t+1} < ... < l_{t+k} satisfy
-k < l_{t+1} and l_{t+k} < l_{t+1}^2. With g the product of every prime up
-to l_{t+k} that is not one of those offsets, the forms g*q*x + l_{t+i}
-form an admissible tuple, and every other integer in the window
+Given a modulus q, a coprime residue a, and a length k, choose_t (the
+one place the rule is written) picks the least shift t for which the
+progression primes l_{t+1} < ... < l_{t+k} satisfy k < l_{t+1} and
+l_{t+k} < l_{t+1}^2. With g the product of every prime up to l_{t+k}
+that is not one of those offsets, the forms g*q*x + l_{t+i} form an
+admissible tuple, and every other integer in the window
 [g*q*n + l_{t+1}, g*q*n + l_{t+k}] shares a factor with g*q. So whatever
 primes the window contains sit at the offsets: they are consecutive primes,
 all congruent to a modulo q, within an interval of length
@@ -14,21 +15,23 @@ ConstructionParams and Construction are named tuples whose constructor
 validates them. g is a function of the offsets, so a Construction does
 not hold it: g_factors is derived, from one sieve, each time an output or
 a check reads it. A certificate read back is checked against that
-definition, not against build: reverify sieves once, exactly to the
-certificate's last offset, and reads from that one list the progression
-members, the least shift and the g_factors, which it compares with the
-certificate's list. Neither check that follows reads g_factors.
-Admissibility is decided on q times the primes up to k and those dividing
-an offset, and isolation on a one-byte-per-integer cover of the window:
-the primes up to the square root of the last offset strike every
-composite, and each prime of the window covers its own slot. g is
-multiplied out only where an output holds it, by a product tree, and a
-checked certificate is written back from its own fields.
+definition, not against build: one sieve, exactly to its last offset,
+gives the progression members, the least shift and the g_factors, which
+are compared with the certificate's list. The checks that follow read no
+g_factors but sieve again: admissibility is decided on q times the primes
+up to k and those dividing an offset, from the primes up to max(k,
+isqrt(last offset)), and isolation on a one-byte-per-integer cover of
+the window, which sieves the window and the primes up to the square root
+of the last offset; those strike every composite, and each prime of the
+window covers its own slot. g is multiplied out only where an output
+holds it, by a product tree, and a checked certificate is written back
+from its own fields.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Callable
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, localcontext
 from itertools import compress, filterfalse
 from math import gcd, isqrt, log, prod
@@ -114,34 +117,30 @@ def _product(xs):
     return xs[0] if xs else 1
 
 
-def choose_t(idx: APIndex, k: int) -> int:
-    """Least t >= 0 with k < l_{t+1} and l_{t+k} < l_{t+1}^2.
+def choose_t(nth: Callable[[int], int], k: int) -> int:
+    """Least t >= 0 with k < l_{t+1} and l_{t+k} < l_{t+1}^2, where nth(i)
+    is l_i, the i-th progression member counted from 1: APIndex.nth, or a
+    lookup in members already sieved.
 
-    The second condition is not monotone in t, so shifts are tried in order.
-    Termination is an asymptotic fact about progression primes, hence the
-    cap SHIFT_CAP.
+    The second condition is not monotone in t, so shifts are tried in order,
+    and no member past l_{t+k} is read. Termination is an asymptotic fact
+    about progression primes, hence the cap SHIFT_CAP.
     """
     if k < 2:
         raise DomainError("k must be >= 2")
     for t in range(SHIFT_CAP + 1):
-        first = idx.nth(t + 1)
-        if k < first and idx.nth(t + k) < first * first:
+        first = nth(t + 1)
+        if k < first and nth(t + k) < first * first:
             return t
     raise ResourceError(f"no admissible shift found with t <= {SHIFT_CAP}")
 
 
-def build(params: ConstructionParams, *, idx: APIndex | None = None) -> Construction:
+def build(params: ConstructionParams) -> Construction:
     """The construction with the least admissible shift, its offsets read
-    from one progression index: idx if given, which must be for the
-    progression of params, else a fresh one. The sieve's height ceiling and
-    the shift cap raise ResourceError."""
-    if idx is None:
-        idx = APIndex(params.q, params.a)
-    elif (idx.q, idx.a) != (params.q, params.residue):
-        raise DomainError(
-            f"index is for primes = {idx.a} mod {idx.q}, not {params.residue} mod {params.q}"
-        )
-    t = choose_t(idx, params.k)
+    from a fresh progression index. The sieve's height ceiling and the
+    shift cap raise ResourceError."""
+    idx = APIndex(params.q, params.a)
+    t = choose_t(idx.nth, params.k)
     offsets = tuple(idx.nth(t + i) for i in range(1, params.k + 1))
     return Construction(params, t, offsets, offsets[-1] - offsets[0])
 
@@ -379,7 +378,7 @@ def construction_from_dict(data: dict) -> Construction:
     unknown = set(data) - set(_CERT_KEYS)
     if unknown:
         raise DomainError(f"certificate has unknown fields: {sorted(unknown)}")
-    missing = {"q", "a", "k", "t", "offsets", "g_factors", "B"} - set(data)
+    missing = set(_CERT_KEYS) - {"g_decimal"} - set(data)
     if missing:
         raise DomainError(f"certificate is missing fields: {sorted(missing)}")
     for key in ("q", "a", "k", "t", "B"):
@@ -404,10 +403,11 @@ def _derives(c: Construction, g_factors: list[int]) -> bool:
     """Whether c, with the g_factors its certificate lists, is the
     construction of its (q, a, k), judged from one sieve up to its last
     offset: its offsets are the progression members at positions
-    t+1 ... t+k; no t' < t passes k < l_{t'+1} and l_{t'+k} < l_{t'+1}^2,
-    and t is within SHIFT_CAP, as choose_t would have it; and the list is
-    exactly the primes up to the last offset that are not offsets. B is the
-    last offset minus the first, which Construction already demands.
+    t+1 ... t+k; choose_t on those members returns t, within SHIFT_CAP,
+    reading none past the list, as Construction's checks make t pass the
+    rule; and the list is exactly the primes up to the last offset that
+    are not offsets. B is the last offset minus the first, which
+    Construction already demands.
 
     A height that the certificate's own length cannot back is not sieved:
     g_factors and offsets together must be the pi(last) primes up to the
@@ -423,8 +423,7 @@ def _derives(c: Construction, g_factors: list[int]) -> bool:
     members = [p for p in primes if p % q == res]
     chosen = set(c.offsets)
     return (tuple(members[t:]) == c.offsets
-            and not any(k < members[s] and members[s + k - 1] < members[s] ** 2
-                        for s in range(t))
+            and choose_t(lambda i: members[i - 1], k) == t
             and list(filterfalse(chosen.__contains__, primes)) == g_factors)
 
 

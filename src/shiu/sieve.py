@@ -207,7 +207,12 @@ class APIndex:
         if n < 1:
             raise DomainError("progression index is 1-based")
         while len(self._members) < n:
-            self._extend()
+            if self._height >= HEIGHT_CEILING + 1:
+                raise ResourceError(
+                    f"only {len(self._members)} primes = {self.a} mod {self.q} "
+                    f"below the ceiling {HEIGHT_CEILING}"
+                )
+            self.extend_to(min(max(self._height * 2, 8 * self.q), HEIGHT_CEILING + 1))
         return self._members[n - 1]
 
     def extend_to(self, height: int) -> None:
@@ -230,11 +235,3 @@ class APIndex:
                                                 2 * stride), flags[off::stride]))
         self._height = height
 
-    def _extend(self) -> None:
-        if self._height >= HEIGHT_CEILING + 1:
-            raise ResourceError(
-                f"only {len(self._members)} primes = {self.a} mod {self.q} "
-                f"below the ceiling {HEIGHT_CEILING}"
-            )
-        target = max(self._height * 2, 8 * self.q)
-        self.extend_to(min(target, HEIGHT_CEILING + 1))

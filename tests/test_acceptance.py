@@ -26,7 +26,6 @@ from shiu.construction import (
 )
 from shiu.errors import NotFoundError
 from shiu.search import first_string
-from shiu.sieve import APIndex
 from shiu.tuples import KTuple, LinearForm, is_admissible
 
 from ._oracles import (
@@ -83,9 +82,8 @@ def test_1_random_tuples_match_brute_force(announce):
 def test_2_grid_builds_and_checks(announce):
     with announce("2/8 grid build and verification", budget=120.0):
         for q, a in grid_columns():
-            idx = APIndex(q, a)
             for k in GRID_K:
-                c = build(ConstructionParams(q=q, a=a, k=k), idx=idx)
+                c = build(ConstructionParams(q=q, a=a, k=k))
                 assert k < c.offsets[0]
                 assert c.offsets[-1] < c.offsets[0] ** 2
                 assert verify_admissible(c).admissible
@@ -186,9 +184,8 @@ def test_7_shift_windows_and_bound_table(announce):
 def test_8_certificates_round_trip_byte_exact(announce):
     with announce("8/8 certificate round trips"):
         for q, a in grid_columns():
-            idx = APIndex(q, a)
             for k in GRID_K:
-                c = build(ConstructionParams(q=q, a=a, k=k), idx=idx)
+                c = build(ConstructionParams(q=q, a=a, k=k))
                 text = construction_to_json(c, include_g=True)
                 back = reverify(json.loads(text))
                 assert construction_to_json(back, include_g=True) == text

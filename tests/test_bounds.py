@@ -1,8 +1,11 @@
 import csv
 import io
 import json
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shiu.sieve as sieve
 from shiu import cli
@@ -11,6 +14,7 @@ from shiu.bounds import (
     bound_table,
     window_cap,
 )
+from shiu.construction import ConstructionParams, build
 from shiu.errors import DomainError, ResourceError
 
 from ._oracles import choose_t_oracle
@@ -91,6 +95,21 @@ def test_bound_table_input_validation(monkeypatch):
         bound_table(range(3, 30), range(1, 5))
     with pytest.raises(DomainError):
         bound_table([4], [2], a=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 40), st.sets(st.integers(2, 12), min_size=1), st.data())
+def test_bound_table_rows_match_build(q, ks, data):
+    # the sweep reads t and B off one index per column; build is the
+    # per-cell reference
+    residues = [a for a in range(1, q) if gcd(a, q) == 1]
+    a = data.draw(st.none() | st.sampled_from(residues))
+    rows = bound_table([q], ks, a=a)
+    assert [(r.q, r.a, r.k) for r in rows] == [
+        (q, b, k) for b in (residues if a is None else [a]) for k in sorted(ks)]
+    for r in rows:
+        c = build(ConstructionParams(r.q, r.a, r.k))
+        assert (r.t, r.B) == (c.t, c.B)
 
 
 def test_rows_with_in_window_t_imply_window_check():
