@@ -8,7 +8,8 @@ statuses: 0 success, 1 bad input, nothing found, an output that cannot be
 opened or written or a closed stdout pipe, 2 resource limits and running
 out of memory, 3 internal inconsistency (a bug, reported with a
 reproduction bundle). Each handler checks its --format before any work, so
-an unavailable format is refused ahead of a bad parameter or certificate.
+an unavailable format is refused ahead of a bad parameter or certificate,
+though not ahead of argparse's own errors, such as a missing option.
 This module writes every report but the certificate, which construction.py
 both writes and reads, each from the record's own fields: a report is a
 named tuple, so its _asdict() keys are its fields in order. Each handler
@@ -41,8 +42,9 @@ def _build_parser() -> _Parser:
                      help="print a computed walkthrough of the q=3, a=1, k=5 "
                           "construction and exit")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "text"),
-                        default=None, help="output format (subcommand default)")
+    # each handler's _pick names the formats it offers
+    common.add_argument("--format", default=None,
+                        help="output format (subcommand default)")
     common.add_argument("--output", default=None, metavar="PATH",
                         help="write output to PATH instead of stdout")
 
@@ -179,13 +181,10 @@ def _stats_csv(stats) -> str:
 
 
 def _cmd_construct(args) -> str:
-    from .construction import (ConstructionParams, _charge_g_factors, _decimal, build,
-                               construction_to_json)
+    from .construction import ConstructionParams, _decimal, build, construction_to_json
 
     fmt = _pick(args, "json", ("json", "text"))
-    params = ConstructionParams(q=args.q, a=args.a, k=args.k)
-    _charge_g_factors(params.q)
-    c = build(params)
+    c = build(ConstructionParams(q=args.q, a=args.a, k=args.k))
     if fmt == "json":
         return construction_to_json(c, include_g=args.with_g)
     # every offset is a prime above k >= 2, so each constant is positive

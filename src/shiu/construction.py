@@ -14,10 +14,12 @@ B = l_{t+k} - l_{t+1}.
 ConstructionParams and Construction are named tuples whose constructor
 validates them. g is a function of the offsets, so a Construction does
 not hold it: g_factors is derived, from one sieve, each time an output or
-a check reads it. A certificate read back is checked against that
-definition, not against build: one sieve, exactly to its last offset,
-gives the progression members, the least shift and the g_factors, which
-are compared with the certificate's list. The checks that follow read no
+a check reads it, and build charges the memory budget for it before it
+sieves. A certificate read back is checked against that definition, not
+against build: one sieve, exactly to its last offset, gives the
+progression members, the least shift and the g_factors, which are
+compared with the certificate's list; only a list that passes is
+multiplied out to check a g_decimal. The checks that follow read no
 g_factors but sieve again: admissibility is decided on q times the primes
 up to k and those dividing an offset, from the primes up to max(k,
 isqrt(last offset)), and isolation on a one-byte-per-integer cover of
@@ -40,8 +42,8 @@ from typing import NamedTuple
 
 from .errors import DomainError, InternalConsistencyError, ResourceError
 from .primality import classify_prime
-from .sieve import (APIndex, _check_allocation, _prime_list_bytes, _segments,
-                    check_progression, primes_up_to)
+from .sieve import (APIndex, _check_allocation, _check_height, _prime_list_bytes,
+                    _segments, check_progression, primes_up_to)
 from .tuples import AdmissibilityReport, KTuple, LinearForm, is_admissible
 
 SHIFT_CAP = 10**6  # largest shift choose_t tries before a ResourceError
@@ -137,21 +139,17 @@ def choose_t(nth: Callable[[int], int], k: int) -> int:
 
 def build(params: ConstructionParams) -> Construction:
     """The construction with the least admissible shift, its offsets read
-    from a fresh progression index. The sieve's height ceiling and the
-    shift cap raise ResourceError."""
+    from a fresh progression index. Every caller reads its g_factors,
+    every prime up to the last offset but the offsets, and the last offset
+    exceeds q; so before anything is sieved, a q past the height ceiling is
+    refused and the primes up to q are charged to the memory budget. Those
+    two limits and the shift cap raise ResourceError."""
+    _check_height(params.q)
+    _check_allocation(_prime_list_bytes(params.q))
     idx = APIndex(params.q, params.a)
     t = choose_t(idx.nth, params.k)
     offsets = tuple(idx.nth(t + i) for i in range(1, params.k + 1))
     return Construction(params, t, offsets, offsets[-1] - offsets[0])
-
-
-def _charge_g_factors(q: int) -> None:
-    """Refuse, before anything is sieved, a build whose g_factors the
-    memory budget could not hold. They are every prime up to the last
-    offset but the k >= 2 offsets, and the last of k members of a
-    progression mod q exceeds q, so reading them charges at least what the
-    primes up to q do."""
-    _check_allocation(_prime_list_bytes(q))
 
 
 def verify_admissible(c: Construction) -> AdmissibilityReport:
@@ -371,8 +369,9 @@ def cert_to_json(cert: dict) -> str:
 
 def construction_from_dict(data: dict) -> Construction:
     """The Construction a certificate states, its fields type-checked and
-    any g_decimal checked against the listed g_factors. The list itself is
-    not kept: reverify compares it with the derivation."""
+    any g_decimal checked to be a decimal string. It only parses: reverify
+    compares the listed g_factors with the derivation, and only then any
+    g_decimal with their product."""
     if not isinstance(data, dict):
         raise DomainError("certificate must be a JSON object")
     unknown = set(data) - set(_CERT_KEYS)
@@ -394,8 +393,6 @@ def construction_from_dict(data: dict) -> Construction:
         g_decimal = data["g_decimal"]
         if not (isinstance(g_decimal, str) and g_decimal.isascii() and g_decimal.isdigit()):
             raise DomainError("certificate field g_decimal must be a decimal string")
-        if g_decimal != _decimal(data["g_factors"]):
-            raise DomainError("g_decimal does not match the product of g_factors")
     return c
 
 
@@ -413,7 +410,8 @@ def _derives(c: Construction, g_factors: list[int]) -> bool:
     g_factors and offsets together must be the pi(last) primes up to the
     last offset, and pi(x) > x / ln x for x >= 17 (Rosser and Schoenfeld,
     1962). So a certificate with fewer is a mismatch at once, and the sieve
-    never runs past what the input's size pays for.
+    never runs past what the input's size pays for. Nothing here reads a
+    g_decimal: reverify multiplies out only a list this has accepted.
     """
     k, t, last = c.params.k, c.t, c.offsets[-1]
     if t > SHIFT_CAP or last >= 17 and (len(g_factors) + k) * log(last) < last:
@@ -435,14 +433,15 @@ def reverify(data: dict) -> Construction:
     the definition, from one sieve to its own last offset. Only on a
     mismatch does build re-derive the construction from (q, a, k), to list
     the fields that differ; if none do, the two derivations disagree, which
-    is a bug. Isolation is checked as a cover of the window, one byte per
+    is a bug. A g_decimal is compared with the product of g_factors only
+    once the list has been derived, so a padded list is never multiplied
+    out. Isolation is checked as a cover of the window, one byte per
     integer, with no (h, p) pairs.
     """
     claimed = construction_from_dict(data)
     if not _derives(claimed, data["g_factors"]):
-        _charge_g_factors(claimed.params.q)
         rebuilt = build(claimed.params)
-        # construction_from_dict has checked any g_decimal against g_factors
+        # a g_decimal is not read here: a wrong list is reported first
         stated = {"B": claimed.B, "g_factors": tuple(data["g_factors"]),
                   "offsets": claimed.offsets, "t": claimed.t}
         mismatched = [key for key, value in stated.items() if value != getattr(rebuilt, key)]
@@ -454,6 +453,8 @@ def reverify(data: dict) -> Construction:
             "the sieve derivation refused a certificate that build re-derives",
             context=data,
         )
+    if "g_decimal" in data and data["g_decimal"] != _decimal(data["g_factors"]):
+        raise DomainError("g_decimal does not match the product of g_factors")
     if not verify_admissible(claimed).admissible:
         raise InternalConsistencyError("re-derived construction is not admissible", context=data)
     _check_cover(claimed)

@@ -83,38 +83,32 @@ def residue_coverage(t: KTuple, p: int) -> set[int]:
     return covered
 
 
-def _prime_factors_of(d: int) -> set[int]:
-    """Distinct prime factors by trial division, with a primality test
-    mopping up the cofactor. Composite cofactors past the trial bound are a
-    resource error, not a wrong answer."""
-    out: set[int] = set()
-    while d % 2 == 0:
-        out.add(2)
-        d //= 2
+def _least_prime_factor(d: int) -> int:
+    """The least prime factor of d > 1 by trial division, with a primality
+    test deciding a d that has none up to the trial bound. Such a d, if
+    composite, is a resource error, not a wrong answer."""
+    if d % 2 == 0:
+        return 2
     f = 3
     while f * f <= d and f <= TRIAL_LIMIT:
-        while d % f == 0:
-            out.add(f)
-            d //= f
+        if d % f == 0:
+            return f
         f += 2
-    if d > 1:
-        if f * f > d or classify_prime(d)[0]:
-            out.add(d)
-        else:
-            raise ResourceError(
-                f"cannot factor {d} within trial bound {TRIAL_LIMIT}"
-            )
-    return out
+    if f * f > d or classify_prime(d)[0]:
+        return d
+    raise ResourceError(f"cannot factor {d} within trial bound {TRIAL_LIMIT}")
 
 
 def _check_primes(t: KTuple) -> list[int]:
-    """Finite prime set deciding admissibility: every p <= k, plus every
-    prime dividing both g_i and h_i of some form."""
+    """Finite prime set deciding admissibility: every p <= k, plus the least
+    prime dividing both g_i and h_i of each form. A form vanishes at every
+    prime dividing both, so the least is already a full cover, and
+    is_admissible stops at its first; no larger one is ever checked."""
     candidates = set(primes_up_to(t.k))
     for f in t.forms:
         d = gcd(f.g, f.h)
         if d > 1:
-            candidates |= _prime_factors_of(d)
+            candidates.add(_least_prime_factor(d))
     return sorted(candidates)
 
 

@@ -186,6 +186,20 @@ def test_unsupported_format_exits_one(capsys):
     assert "not available" in err
 
 
+def test_format_is_checked_by_the_subcommand_alone(capsys):
+    # --help offers no format list that the subcommand would refuse, and an
+    # unknown format gets the subcommand's own list
+    with pytest.raises(SystemExit) as info:
+        cli.main(["construct", "--help"])
+    out = capsys.readouterr().out
+    assert info.value.code == 0 and "--format FORMAT" in out and "csv" not in out
+    code, out, err = run(capsys, "construct", "--q", "3", "--a", "1", "--k", "5",
+                         "--format", "xml")
+    assert (code, out) == (1, "")
+    assert err == ("error: domain: format 'xml' is not available for this "
+                   "subcommand (choose from json, text)\n")
+
+
 def test_unavailable_format_is_refused_before_the_scan(capsys, tmp_path, monkeypatch):
     import shiu.construction
 
@@ -518,8 +532,9 @@ def test_budget_env_stops_big_construct(capsys, monkeypatch):
     assert err.startswith("error: resource:")
 
 
-# 8*q is 8e11 here, so the first extension of the progression index would
-# keep about 1.5 TB of primes; physical memory must refuse it up front
+# the g_factors of q = 10^11 hold at least the primes up to q, about 205 GB
+# as a list, so build's charge must refuse it against physical memory
+# before anything is sieved
 HUGE_Q = 10**11
 
 
@@ -541,6 +556,22 @@ def test_huge_q_fails_fast_without_a_budget(capsys, monkeypatch, tmp_path):
         code, out, err = run(capsys, *argv, "--cert", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: resource:")
+
+
+def test_q_past_the_height_ceiling_is_one_resource_line(capsys, tmp_path):
+    q = 10**400
+    code, out, err = run(capsys, "construct", "--q", str(q), "--a", "1", "--k", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: resource:") and err.count("\n") == 1
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({
+        "q": q, "a": 1, "k": 2, "t": 0, "offsets": [2 * q + 1, 3 * q + 1],
+        "g_factors": [2], "B": q,
+    }))
+    for argv in (("verify",), ("scan", "--n-lo", "1", "--n-hi", "1")):
+        code, out, err = run(capsys, *argv, "--cert", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: resource:") and err.count("\n") == 1
 
 
 SEARCH_ALL = ("search", "--q", "3", "--a", "1", "--all")

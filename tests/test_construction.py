@@ -154,6 +154,22 @@ def test_build_k2_example():
     assert c.B == 6
 
 
+def test_build_charges_its_g_factors_before_sieving(monkeypatch):
+    # the g_factors of q = 1000003 hold at least the primes up to q, about
+    # 3.8 MB as a list, so a 1 MiB budget refuses the build unsieved; so
+    # does the height ceiling, before any estimate, for a q past it
+    def no_sieve(lo, hi, base):
+        raise AssertionError(f"sieved [{lo}, {hi})")
+
+    monkeypatch.setattr(sieve, "_segment_flags", no_sieve)
+    monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "1")
+    with pytest.raises(ResourceError, match="byte budget"):
+        build(ConstructionParams(q=1000003, a=1, k=2))
+    monkeypatch.delenv("SHIU_SIEVE_BUDGET_MB")
+    with pytest.raises(ResourceError, match="exceeds the ceiling"):
+        build(ConstructionParams(q=10**400, a=1, k=2))
+
+
 def test_construction_validation_catches_tampering():
     c = build(ConstructionParams(q=3, a=1, k=5))
     good = dict(params=c.params, t=c.t, offsets=c.offsets, B=c.B)
@@ -483,10 +499,23 @@ class TestCertificates:
 
     def test_rejects_bad_g_decimal(self):
         d = json.loads(construction_to_json(self.c, include_g=True))
-        with pytest.raises(DomainError, match="g_decimal"):
-            construction_from_dict({**d, "g_decimal": str(EX_G + 1)})
+        with pytest.raises(DomainError, match="^g_decimal does not match the product"):
+            reverify({**d, "g_decimal": str(EX_G + 1)})
         with pytest.raises(DomainError, match="g_decimal must be a decimal string"):
-            construction_from_dict({**d, "g_decimal": None})
+            reverify({**d, "g_decimal": None})
+
+    def test_padded_g_factors_are_not_multiplied_out(self, monkeypatch):
+        # a list padded far past the primes up to the last offset fails the
+        # derivation, which reports it before any g_decimal is checked
+        def no_product(factors):
+            raise AssertionError("g_decimal checked against an underived list")
+
+        d = json.loads(construction_to_json(self.c, include_g=True))
+        padded = {**d, "g_factors": d["g_factors"] + [10**30 + 57] * 100000}
+        monkeypatch.setattr(construction, "_decimal", no_product)
+        with pytest.raises(DomainError,
+                           match=r"mismatched fields: \['g_factors'\]$"):
+            reverify(padded)
 
     def test_reverify_accepts_emitted_certificate(self):
         d = json.loads(construction_to_json(self.c, include_g=True))
@@ -624,7 +653,7 @@ def test_reverify_refuses_a_height_its_length_cannot_back_without_sieving(monkey
     listed = r"mismatched fields: \['B', 'g_factors', 'offsets'\]$"
     with pytest.raises(DomainError, match=listed):
         reverify(forged)
-    # a g_decimal is checked against the listed factors, which needs no sieve
+    # a g_decimal changes nothing: the mismatch is reported before it is read
     with pytest.raises(DomainError, match=listed):
         reverify({**forged, "g_decimal": "30"})
     assert heights and max(heights) <= 10**6

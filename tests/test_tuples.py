@@ -8,7 +8,7 @@ from shiu.errors import DomainError, ResourceError
 from shiu.tuples import (
     KTuple,
     LinearForm,
-    _prime_factors_of,
+    _least_prime_factor,
     is_admissible,
     residue_coverage,
 )
@@ -145,11 +145,20 @@ def test_prime_factors_refuses_a_strong_pseudoprime_cofactor():
     # both factors lie past the trial bound, so only the primality test
     # stands between this composite and a claim that it is prime
     with raises(ResourceError):
-        _prime_factors_of(PSI12)
+        _least_prime_factor(PSI12)
     with raises(ResourceError):
         is_admissible(ktuple([(PSI12, PSI12), (1, 2)]))
 
 
 def test_prime_factors_accepts_a_large_prime_cofactor():
     m89 = (1 << 89) - 1
-    assert _prime_factors_of(12 * m89) == {2, 3, m89}
+    assert _least_prime_factor(m89) == m89
+    assert _least_prime_factor(12 * m89) == 2
+    assert _least_prime_factor(1009 * m89) == 1009
+
+
+def test_admissibility_needs_only_the_least_factor_of_a_gcd():
+    # 2 divides both g and h, so the first form covers every class mod 2,
+    # and the pseudoprime cofactor past the trial bound is never factored
+    report = is_admissible(ktuple([(2 * PSI12, 2 * PSI12), (1, 1)]))
+    assert report == (False, (2, 2), (2,))
