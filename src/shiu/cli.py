@@ -9,7 +9,8 @@ opened or written or a closed stdout pipe, 2 resource limits and running
 out of memory, 3 internal inconsistency (a bug, reported with a
 reproduction bundle). Each handler checks its --format before any work, so
 an unavailable format is refused ahead of a bad parameter or certificate,
-though not ahead of argparse's own errors, such as a missing option.
+though not ahead of argparse's own errors, such as a missing option; the
+check and the --help line both read the formats from _FORMATS.
 This module writes every report but the certificate, which construction.py
 both writes and reads, each from the record's own fields: a report is a
 named tuple, so its _asdict() keys are its fields in order. Each handler
@@ -36,41 +37,59 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
+# Each report's default format and the formats it offers: --help and
+# _pick's refusal are both written from these.
+_FORMATS = {
+    "construct": ("json", ("json", "text")),
+    "verify": ("text", ("json", "text")),
+    "scan": ("json", ("json", "text")),
+    "bounds": ("csv", ("json", "csv")),
+    "search": ("json", ("json", "text")),
+    "search --all": ("json", ("json", "csv")),
+}
+
+
+def _format_help(subcommand: str) -> str:
+    offers = []
+    for key, (default, offered) in _FORMATS.items():
+        name, _, flag = key.partition(" ")
+        if name == subcommand:
+            offer = " or ".join(f + " (default)" if f == default else f for f in offered)
+            offers.append(f"with {flag}, {offer}" if flag else offer)
+    return "output format: " + "; ".join(offers)
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="shiu", description=__doc__.splitlines()[0])
     top.add_argument("--seed-doc", action="store_true",
                      help="print a computed walkthrough of the q=3, a=1, k=5 "
                           "construction and exit")
-    common = argparse.ArgumentParser(add_help=False)
-    # each handler's _pick names the formats it offers
-    common.add_argument("--format", default=None,
-                        help="output format (subcommand default)")
-    common.add_argument("--output", default=None, metavar="PATH",
-                        help="write output to PATH instead of stdout")
-
     sub = top.add_subparsers(dest="subcommand")
 
-    p = sub.add_parser("construct", parents=[common],
-                       help="build a certificate for (q, a, k)")
+    def add_subcommand(name: str, help: str) -> _Parser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--format", default=None, help=_format_help(name))
+        p.add_argument("--output", default=None, metavar="PATH",
+                       help="write output to PATH instead of stdout")
+        return p
+
+    p = add_subcommand("construct", "build a certificate for (q, a, k)")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--with-g", action="store_true",
                    help="include the multiplied-out coefficient quotient")
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="re-derive a certificate and demand equality")
+    p = add_subcommand("verify", "re-derive a certificate and demand equality")
     p.add_argument("--cert", required=True, metavar="PATH")
 
-    p = sub.add_parser("scan", parents=[common],
-                       help="re-derive a certificate, then exhaustively "
-                            "primality-test its windows")
+    p = add_subcommand("scan", "re-derive a certificate, then exhaustively "
+                               "primality-test its windows")
     p.add_argument("--cert", required=True, metavar="PATH")
     p.add_argument("--n-lo", type=int, required=True)
     p.add_argument("--n-hi", type=int, required=True)
 
-    p = sub.add_parser("bounds", parents=[common],
-                       help="tabulate the diameter bound over a (q, k) grid")
+    p = add_subcommand("bounds", "tabulate the diameter bound over a (q, k) grid")
     p.add_argument("--q-min", type=int, required=True)
     p.add_argument("--q-max", type=int, required=True)
     p.add_argument("--k-min", type=int, required=True)
@@ -80,8 +99,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--L", type=float, default=5.0,
                    help="exponent for the shift-window policy")
 
-    p = sub.add_parser("search", parents=[common],
-                       help="scan for runs of consecutive congruent primes")
+    p = add_subcommand("search", "scan for runs of consecutive congruent primes")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
@@ -127,12 +145,14 @@ def _emit(output: str | None, out: str | Iterable[str]) -> None:
         raise DomainError(f"cannot write output <stdout>: {exc}") from exc
 
 
-def _pick(args, default: str, allowed: tuple[str, ...]) -> str:
+def _pick(args, key: str) -> str:
+    """The --format asked for, or the default of the report _FORMATS[key]."""
+    default, offered = _FORMATS[key]
     fmt = args.format or default
-    if fmt not in allowed:
+    if fmt not in offered:
         raise DomainError(
             f"format {fmt!r} is not available for this subcommand "
-            f"(choose from {', '.join(allowed)})"
+            f"(choose from {', '.join(offered)})"
         )
     return fmt
 
@@ -183,7 +203,7 @@ def _stats_csv(stats) -> str:
 def _cmd_construct(args) -> str:
     from .construction import ConstructionParams, _decimal, build, construction_to_json
 
-    fmt = _pick(args, "json", ("json", "text"))
+    fmt = _pick(args, "construct")
     c = build(ConstructionParams(q=args.q, a=args.a, k=args.k))
     if fmt == "json":
         return construction_to_json(c, include_g=args.with_g)
@@ -220,7 +240,7 @@ def _unique_fields(pairs: list) -> dict:
 def _cmd_verify(args) -> str:
     from .construction import cert_to_json, reverify
 
-    fmt = _pick(args, "text", ("json", "text"))
+    fmt = _pick(args, "verify")
     data = _read_cert(args.cert)
     c = reverify(data)
     if fmt == "json":
@@ -234,7 +254,7 @@ def _cmd_verify(args) -> str:
 def _cmd_scan(args) -> str:
     from .construction import reverify, scan_windows
 
-    fmt = _pick(args, "json", ("json", "text"))
+    fmt = _pick(args, "scan")
     if args.n_lo < 0 or args.n_hi < args.n_lo:  # before the certificate is read
         raise DomainError("need 0 <= n_lo <= n_hi")
     c = reverify(_read_cert(args.cert))
@@ -258,7 +278,7 @@ def _cmd_scan(args) -> str:
 def _cmd_bounds(args) -> str:
     from .bounds import bound_table
 
-    fmt = _pick(args, "csv", ("json", "csv"))
+    fmt = _pick(args, "bounds")
     rows = bound_table(
         range(args.q_min, args.q_max + 1),
         range(args.k_min, args.k_max + 1),
@@ -277,7 +297,7 @@ def _cmd_search(args) -> str | Iterable[str]:
     from .search import all_strings, diameter_stats, first_string
 
     if not args.emit_all:
-        fmt = _pick(args, "json", ("json", "text"))
+        fmt = _pick(args, "search")
         _refuse_unused(args, ("maximal_only", "bucket_width", "reference_b"), "without --all")
         s = first_string(args.q, args.a, args.m, cap=args.cap)
         if fmt == "json":
@@ -285,7 +305,7 @@ def _cmd_search(args) -> str | Iterable[str]:
         primes = ",".join(str(p) for p in s.primes)
         return (f"q={s.q} a={s.a} m={s.m} start_index={s.start_index} "
                 f"diameter={s.diameter} primes={primes}\n")
-    fmt = _pick(args, "json", ("json", "csv"))
+    fmt = _pick(args, "search --all")
     if fmt == "json":
         _refuse_unused(args, ("bucket_width", "reference_b"), "without --format csv")
     stream = all_strings(args.q, args.a, args.m, cap=args.cap,

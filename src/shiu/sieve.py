@@ -3,15 +3,17 @@
 Everything downstream sits on this module: plain prime enumeration up to a
 height, the lazily extended 1-based index into the primes congruent to a
 fixed residue a modulo q, which keeps those primes and no others, and
-check_progression, the one test of which (q, a) are accepted. A single loop, _segment_flags, does all the sieving:
-it flags the odd primes of one interval given the odd primes up to the
-square root of its end, and those base primes come from the same loop run
-over [3, root]. The sieve is odd-only (Crandall and Pomerance, Prime
-Numbers, section 3.2): a segment keeps one flag per odd number, so each
-byte stands for two integers, and the one even prime, 2, is added apart by
-each consumer. One private generator sieves four segments at a time as one
-block, so the loop over the base primes runs once per block, and hands out
-each segment of the block as its odd start and a fresh bytearray of
+check_progression, the one test of which (q, a) are accepted. A single loop,
+_segment_flags, does all the sieving: it flags the odd primes of one
+interval given the odd primes up to the square root of its end. It fills,
+once per process, a 32 KiB table of the odd numbers below TABLE_LIMIT =
+2^16; each block ending there and each list of base primes up to there is
+a slice of it, and larger base primes come from the loop run over [3,
+root]. The sieve is odd-only (Crandall and Pomerance, Prime Numbers,
+section 3.2): one flag per odd number, and the one even prime, 2, is added
+apart by each consumer. One private generator sieves four segments at a
+time as one block, so the loop over the base primes runs once per block,
+and hands out each segment as its odd start and a fresh bytearray of
 primality flags; each consumer takes from the flags only what it needs,
 with itertools.compress and strided slices.
 numpy is imported only by _prime_arrays, which reads each segment's flags
@@ -20,13 +22,16 @@ the run search and iter_primes, the bulk stream, read those arrays. Heights are
 bounded by the HEIGHT_CEILING constant so that searches whose termination
 is only guaranteed asymptotically fail cleanly instead of running away, and
 each large allocation is checked against the memory budget in
-SHIU_SIEVE_BUDGET_MB, or against physical memory when that is unset.
-Neither limit, nor the segment width, changes any result.
+SHIU_SIEVE_BUDGET_MB, read on every check, or against physical memory,
+probed once per process, when that is unset. The table is never charged:
+no budget is below 1 MiB. Neither limit, nor the segment width, nor the
+table's end, changes any result.
 """
 
 from __future__ import annotations
 
 import os
+from functools import cache
 from itertools import compress
 from math import gcd, isqrt, log
 from typing import Iterator
@@ -34,9 +39,11 @@ from typing import Iterator
 from .errors import DomainError, ResourceError
 
 SEGMENT_WIDTH = 1 << 17  # numbers per segment, one flag per odd one; results never depend on it
+TABLE_LIMIT = 1 << 16  # odd numbers below this are flagged once per process; results never depend on it
 HEIGHT_CEILING = 1 << 40  # hard upper bound on any number examined
 
 
+@cache
 def _physical_memory() -> int | None:
     """Bytes of physical memory, or None where sysconf cannot tell."""
     try:
@@ -99,12 +106,25 @@ def _segment_flags(lo: int, hi: int, base: list[int]) -> bytearray:
     return flags
 
 
+@cache
+def _table() -> bytearray:
+    """Flags over the odd numbers of [3, TABLE_LIMIT): flags[i] is set iff
+    3 + 2*i is prime. Each pass sieves [3, hi) with the primes the last
+    pass flagged, and hi squares. Consumers get only slices, which copy."""
+    hi, flags = 3, bytearray()
+    while hi < TABLE_LIMIT:
+        base = list(compress(range(3, hi, 2), flags))
+        hi = min(hi * hi, TABLE_LIMIT)
+        flags = _segment_flags(3, hi, base)
+    return flags
+
+
 def _base_primes(limit: int) -> list[int]:
-    """Every odd prime <= limit, from one segment over [3, limit] sieved by
-    the odd primes up to its square root."""
-    if limit < 3:
-        return []
-    flags = _segment_flags(3, limit + 1, _base_primes(isqrt(limit)))
+    """Every odd prime <= limit: read from the table up to TABLE_LIMIT, and
+    above it from one segment over [3, limit] sieved by the odd primes up
+    to its square root."""
+    flags = (_table() if limit <= TABLE_LIMIT
+             else _segment_flags(3, limit + 1, _base_primes(isqrt(limit))))
     return list(compress(range(3, limit + 1, 2), flags))
 
 
@@ -114,9 +134,10 @@ def _segments(lo: int, hi: int) -> Iterator[tuple[int, bytearray]]:
     seg_lo + 2*i is prime. Every segment spans SEGMENT_WIDTH numbers (one
     more when the width is odd) but the last, which ends at hi. Four
     segments are sieved at a time, as one block, so each base prime is
-    visited once per block; each bytearray yielded is still a fresh copy of
-    one segment's flags. The one even prime, 2, is in no segment; each
-    consumer adds it apart."""
+    visited once per block; a block that ends at or below TABLE_LIMIT is a
+    slice of the table instead. Each bytearray yielded is still a fresh
+    copy of one segment's flags. The one even prime, 2, is in no segment;
+    each consumer adds it apart."""
     _check_height(hi - 1)
     lo = max(lo, 3) | 1
     if hi <= lo:
@@ -127,12 +148,15 @@ def _segments(lo: int, hi: int) -> Iterator[tuple[int, bytearray]]:
     # the base sieve's flags, the list of base primes it keeps and one block's flags
     _check_allocation((base_limit >> 1) + _prime_list_bytes(base_limit)
                       + ((min(block, hi - lo) + 1) >> 1))
-    base = _base_primes(base_limit)
+    base = _base_primes(base_limit) if hi > TABLE_LIMIT else []  # the table needs none
     half = step >> 1  # flags per segment
     block_lo = lo
     while block_lo < hi:
         block_hi = min(block_lo + block, hi)
-        flags = _segment_flags(block_lo, block_hi, base)
+        if block_hi <= TABLE_LIMIT:
+            flags = _table()[(block_lo - 3) >> 1:(block_hi - 2) >> 1]
+        else:
+            flags = _segment_flags(block_lo, block_hi, base)
         for i in range(0, len(flags), half):
             yield block_lo + 2 * i, flags[i:i + half]
         block_lo = block_hi
@@ -171,10 +195,11 @@ def _prime_list_bytes(y: int) -> int:
 
 
 def primes_up_to(y: int) -> list[int]:
-    """All primes in [2, y], ascending, from one unsegmented sieve. Unlike
-    iter_primes this materializes the whole list, so the memory budget is
-    checked against an upper estimate of its size; that estimate also
-    exceeds the sieve's one byte per odd number."""
+    """All primes in [2, y], ascending, read from the table up to
+    TABLE_LIMIT and from one unsegmented sieve above it. Unlike iter_primes
+    this materializes the whole list, so the memory budget is checked
+    against an upper estimate of its size; that estimate also exceeds the
+    sieve's one byte per odd number."""
     if y < 0:
         raise DomainError("upper bound must be nonnegative")
     _check_height(y)

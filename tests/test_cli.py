@@ -187,12 +187,18 @@ def test_unsupported_format_exits_one(capsys):
 
 
 def test_format_is_checked_by_the_subcommand_alone(capsys):
-    # --help offers no format list that the subcommand would refuse, and an
-    # unknown format gets the subcommand's own list
+    # --help offers the subcommand's own formats and default and no other,
+    # and an unknown format gets the subcommand's own list
     with pytest.raises(SystemExit) as info:
         cli.main(["construct", "--help"])
     out = capsys.readouterr().out
     assert info.value.code == 0 and "--format FORMAT" in out and "csv" not in out
+    assert "output format: json (default) or text" in " ".join(out.split())
+    for key, (default, offered) in cli._FORMATS.items():
+        with pytest.raises(SystemExit):
+            cli.main([key.split()[0], "--help"])
+        out = capsys.readouterr().out
+        assert f"{default} (default)" in out and all(f in out for f in offered), key
     code, out, err = run(capsys, "construct", "--q", "3", "--a", "1", "--k", "5",
                          "--format", "xml")
     assert (code, out) == (1, "")

@@ -636,19 +636,26 @@ def test_reverify_refuses_every_one_field_tampering(cell):
 def test_reverify_refuses_a_height_its_length_cannot_back_without_sieving(monkeypatch):
     # offsets up to 10^9 with three g_factors: pi(10^9) is over 50 million,
     # so the certificate is refused before any sieve reaches that height;
-    # build's own sieve of (3, 1, 3) stays small and still runs
+    # build's own sieve of (3, 1, 3) stays small and still runs. Its heights
+    # are below 2^16, read from the flag table and never sieved, so they
+    # are recorded where segments are handed out
     first, last = 40003, 999999997
     forged = {"q": 3, "a": 1, "k": 3, "t": 0, "offsets": [first, 500000002, last],
               "g_factors": [2, 3, 5], "B": last - first}
     heights = []
-    real = sieve._segment_flags
+    real_segments, real_flags = sieve._segments, sieve._segment_flags
+
+    def recording(lo, hi):
+        heights.append(hi)
+        return real_segments(lo, hi)
 
     def small_only(lo, hi, base):
-        heights.append(hi)
         if hi > 10**6:
             raise AssertionError(f"sieved to {hi}")
-        return real(lo, hi, base)
+        return real_flags(lo, hi, base)
 
+    monkeypatch.setattr(sieve, "_segments", recording)
+    monkeypatch.setattr(construction, "_segments", recording)
     monkeypatch.setattr(sieve, "_segment_flags", small_only)
     listed = r"mismatched fields: \['B', 'g_factors', 'offsets'\]$"
     with pytest.raises(DomainError, match=listed):

@@ -154,7 +154,9 @@ def test_all_strings_stops_at_the_segment_holding_its_string(monkeypatch):
 
 
 def test_first_string_sieves_only_the_block_holding_its_string(monkeypatch):
-    # at width 64 the first block is [3, 259), and 151, 157, 163 lie in it
+    # at width 2^14 a block spans 2^16 numbers: the first, [3, 65539), ends
+    # past the flag table and is sieved, and the second, [65539, 131075),
+    # holds the string 118801, ..., 118897
     base = sieve._base_primes(isqrt(10**6 - 1))
     calls = []
     real = sieve._segment_flags
@@ -164,11 +166,13 @@ def test_first_string_sieves_only_the_block_holding_its_string(monkeypatch):
         return real(lo, hi, primes)
 
     monkeypatch.setattr(sieve, "_segment_flags", recording)
-    monkeypatch.setattr(sieve, "SEGMENT_WIDTH", 64)
-    assert first_string(3, 1, 3, cap=10**6).primes == (151, 157, 163)
-    # the base sieve runs with the primes below its own root; every call
-    # with the primes below the cap's root sieves the run search's range
-    assert [(lo, hi) for lo, hi, primes in calls if primes == base] == [(3, 259)]
+    monkeypatch.setattr(sieve, "SEGMENT_WIDTH", 1 << 14)
+    assert first_string(3, 1, 8, cap=10**6).primes == (
+        118801, 118819, 118831, 118843, 118861, 118873, 118891, 118897)
+    # every call with the primes below the cap's root sieves the run
+    # search's range
+    assert [(lo, hi) for lo, hi, primes in calls if primes == base] == [
+        (3, 65539), (65539, 131075)]
 
 
 def test_all_strings_drains_to_ten_million_under_a_one_mib_budget(monkeypatch):

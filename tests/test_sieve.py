@@ -25,6 +25,14 @@ def test_primes_up_to_edge_cases():
     assert primes_up_to(1) == []
     assert primes_up_to(2) == [2]
     assert primes_up_to(10) == [2, 3, 5, 7]
+    # every call hands out its own list and flags, so what a caller does to
+    # them reaches no later call, though all of these are read from one table
+    primes_up_to(100).clear()
+    for _, flags in sieve._segments(3, 101):
+        flags[:] = bytes(len(flags))
+    assert primes_up_to(100) == trial_primes(100)
+    assert [n for seg_lo, flags in sieve._segments(3, 101)
+            for n in compress(range(seg_lo, 101, 2), flags)] == trial_primes(100)[1:]
 
 
 def test_prime_counts_at_known_heights():
@@ -36,6 +44,9 @@ def test_prime_counts_at_known_heights():
 @example(3)
 @example(4)  # the base primes' own root first reaches 2
 @example(961)  # a prime square
+@example(sieve.TABLE_LIMIT - 1)  # the flag table's last number, its end and just past it
+@example(sieve.TABLE_LIMIT)
+@example(sieve.TABLE_LIMIT + 1)
 def test_matches_trial_division(y):
     assert primes_up_to(y) == trial_primes(y)
 
@@ -85,10 +96,15 @@ def test_segments_span_the_width_across_block_boundaries(monkeypatch, width):
     # the first block's end, and at a segment boundary and mid-segment in
     # the second block
     spans = (step // 2 + 1, 3 * step + step // 2 + 1, 4 * step, 5 * step, 6 * step + step // 2 + 1)
-    top = 15 + max(spans)
+    # starts near 3, and starts below the flag table's end from which every
+    # span ends above it: blocks read from the table meet a sieved block
+    # that straddles its edge
+    edge = [lo for lo in (sieve.TABLE_LIMIT - 4 * step - 1, sieve.TABLE_LIMIT - step // 2,
+                          sieve.TABLE_LIMIT - 1) if lo >= 3]
+    top = max(15, *edge) + max(spans)
     # trial division is too slow for the blocks of the default width
     want = trial_primes(top) if width <= 64 else simple_sieve(top)
-    for lo in range(3, 16):
+    for lo in (*range(3, 16), *edge):
         for hi in (lo + span for span in spans):
             segments = list(sieve._segments(lo, hi))
             assert [seg_lo for seg_lo, _ in segments] == list(range(lo | 1, hi, step)), (lo, hi)
@@ -185,10 +201,12 @@ def test_physical_memory_is_unknown_without_sysconf(monkeypatch):
     def unsupported(name):
         raise ValueError(name)
 
+    # the uncached probe, so that no None is cached for later callers
+    probe = sieve._physical_memory.__wrapped__
     monkeypatch.setattr(sieve.os, "sysconf", unsupported)
-    assert sieve._physical_memory() is None
+    assert probe() is None
     monkeypatch.delattr(sieve.os, "sysconf")
-    assert sieve._physical_memory() is None
+    assert probe() is None
 
 
 class TestAPIndex:
