@@ -14,17 +14,15 @@ from __future__ import annotations
 
 from math import gcd, isqrt, prod
 
+from .sieve import _base_primes
+
 # Deterministic for all n < 2^64 (witness set from miller-rabin.appspot.com).
 _U64_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 DETERMINISTIC_LIMIT = 1 << 64
 
-# Every prime below 1000, and their product for a one-gcd trial division. A
-# composite below 1000 has a prime factor below 32.
-_ROOT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
-_ROOT_PRODUCT = prod(_ROOT_PRIMES)
-_SMALL_PRIMES = frozenset(_ROOT_PRIMES).union(
-    n for n in range(32, 1000) if gcd(n, _ROOT_PRODUCT) == 1)
+# Every prime below 1000, and their product for a one-gcd trial division.
+_SMALL_PRIMES = frozenset([2, *_base_primes(999)])
 _SMALL_PRODUCT = prod(_SMALL_PRIMES)
 
 

@@ -21,9 +21,9 @@ as a bool array and takes its nonzero positions, far faster than compress;
 the run search and iter_primes, the bulk stream, read those arrays. Heights are
 bounded by the HEIGHT_CEILING constant so that searches whose termination
 is only guaranteed asymptotically fail cleanly instead of running away, and
-each large allocation is checked against the memory budget in
-SHIU_SIEVE_BUDGET_MB, read on every check, or against physical memory,
-probed once per process, when that is unset. The table is never charged:
+each large allocation is checked against one limit, decided once per
+process at the first check: the memory budget in SHIU_SIEVE_BUDGET_MB, or
+physical memory when that is unset. The table is never charged:
 no budget is below 1 MiB. Neither limit, nor the segment width, nor the
 table's end, changes any result.
 """
@@ -44,35 +44,32 @@ HEIGHT_CEILING = 1 << 40  # hard upper bound on any number examined
 
 
 @cache
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where sysconf cannot tell."""
+def _limit() -> tuple[int, str] | None:
+    """The bytes one allocation may take and their name in a refusal: the
+    SHIU_SIEVE_BUDGET_MB budget, else physical memory (past it, only swap or
+    the OOM killer), else None. Decided once per process, at the first charge;
+    cache keeps no exception, so a malformed budget raises at every charge."""
+    raw = os.environ.get("SHIU_SIEVE_BUDGET_MB")
+    if raw is not None:
+        try:
+            mb = int(raw)
+        except ValueError as exc:
+            raise DomainError(f"SHIU_SIEVE_BUDGET_MB must be an integer, got {raw!r}") from exc
+        if mb <= 0:
+            raise DomainError("SHIU_SIEVE_BUDGET_MB must be positive")
+        return mb << 20, "byte budget"
     try:
         pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return None
-    return pages * size if pages > 0 and size > 0 else None
+    return (pages * size, "bytes of physical memory") if pages > 0 and size > 0 else None
 
 
 def _check_allocation(nbytes: int) -> None:
-    """Refuse an allocation of nbytes over the SHIU_SIEVE_BUDGET_MB budget,
-    which is read on every call; without it, refuse one larger than
-    physical memory, which could only end in swapping or the OOM killer."""
-    raw = os.environ.get("SHIU_SIEVE_BUDGET_MB")
-    if raw is None:
-        limit = _physical_memory()
-        if limit is not None and nbytes > limit:
-            raise ResourceError(
-                f"sieve needs {nbytes} bytes, over the {limit} bytes of physical memory"
-            )
-        return
-    try:
-        mb = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"SHIU_SIEVE_BUDGET_MB must be an integer, got {raw!r}") from exc
-    if mb <= 0:
-        raise DomainError("SHIU_SIEVE_BUDGET_MB must be positive")
-    if nbytes > mb << 20:
-        raise ResourceError(f"sieve needs {nbytes} bytes, over the {mb << 20} byte budget")
+    """Refuse an allocation of nbytes over _limit() before it is made."""
+    limit = _limit()
+    if limit is not None and nbytes > limit[0]:
+        raise ResourceError(f"sieve needs {nbytes} bytes, over the {limit[0]} {limit[1]}")
 
 
 def _check_height(y: int) -> None:

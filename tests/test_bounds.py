@@ -160,6 +160,7 @@ class TestSerialization:
         monkeypatch.delenv("SHIU_SIEVE_BUDGET_MB", raising=False)
         unbudgeted = _bounds(capsys, [100003], [2, 3], "--a", "1")
         monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "1")
+        sieve._limit.cache_clear()  # a new budget is read by a new process
         assert _bounds(capsys, [100003], [2, 3], "--a", "1") == unbudgeted
         assert unbudgeted.splitlines()[1:] == ["100003,1,2,0,2200066,7,true",
                                                "100003,1,3,0,3000090,13,true"]

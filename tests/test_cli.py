@@ -544,10 +544,10 @@ def test_budget_env_stops_big_construct(capsys, monkeypatch):
 HUGE_Q = 10**11
 
 
-@pytest.mark.skipif(sieve._physical_memory() is None,
-                    reason="physical memory size is unknown on this platform")
 def test_huge_q_fails_fast_without_a_budget(capsys, monkeypatch, tmp_path):
     monkeypatch.delenv("SHIU_SIEVE_BUDGET_MB", raising=False)
+    if sieve._limit() is None:
+        pytest.skip("physical memory size is unknown on this platform")
     code, out, err = run(capsys, "construct", "--q", str(HUGE_Q), "--a", "1",
                          "--k", "2")
     assert code == 2 and out == ""
@@ -658,6 +658,24 @@ def test_large_verify_fits_a_small_budget(tmp_path):
                          env={**_subprocess_env(), "SHIU_SIEVE_BUDGET_MB": "8"})
     assert (res.returncode, res.stderr) == (0, "")
     assert res.stdout == "ok: certificate re-derived and checked (q=10007 a=1 k=3 t=0 B=320224)\n"
+
+
+def test_verify_charges_the_certificate_before_reading_it(capsys, monkeypatch, tmp_path):
+    # the (10007, 1, 3) certificate is 542,404 bytes, charged at four times
+    # its size, so a 1 MiB budget refuses it before it is parsed
+    path = tmp_path / "cert.json"
+    assert cli.main(["construct", "--q", "10007", "--a", "1", "--k", "3",
+                     "--output", str(path)]) == 0
+    monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "1")
+    sieve._limit.cache_clear()  # a new budget is read by a new process
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("the certificate was parsed")
+
+    monkeypatch.setattr(json, "loads", no_parse)
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: resource: sieve needs 2169616 bytes, over the 1048576 byte budget\n"
 
 
 def test_small_commands_never_import_numpy(tmp_path):

@@ -188,9 +188,11 @@ def test_verify_isolation_charges_the_pairs_it_returns(monkeypatch):
     # with the (h, p) pairs, so a 16 MB budget must refuse it
     c = build(ConstructionParams(q=10007, a=1, k=3))
     monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "16")
+    sieve._limit.cache_clear()  # a new budget is read by a new process
     with pytest.raises(ResourceError):
         verify_isolation(c)
     monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "64")
+    sieve._limit.cache_clear()  # a new budget is read by a new process
     assert len(verify_isolation(c)) == c.B + 1 - c.params.k
 
 
@@ -341,6 +343,7 @@ def test_verify_isolation_charges_its_interval_to_the_budget(monkeypatch):
     with pytest.raises(ResourceError):
         verify_isolation(c)
     monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "128")
+    sieve._limit.cache_clear()  # a new budget is read by a new process
     monkeypatch.setattr(construction, "primes_up_to", _without({2}))
     with pytest.raises(InternalConsistencyError) as info:
         verify_isolation(c)

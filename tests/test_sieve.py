@@ -172,28 +172,45 @@ def test_budget_charges_the_block_before_sieving(monkeypatch):
 
 
 def test_env_budget_validation(monkeypatch):
-    monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "not-a-number")
-    with pytest.raises(DomainError):
-        primes_up_to(10)
-    monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "0")
-    with pytest.raises(DomainError):
-        primes_up_to(10)
+    # a bad budget is never cached, so it raises at every charge
+    for bad in ("not-a-number", "0"):
+        monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", bad)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                primes_up_to(10)
     monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "64")
     sieve._check_allocation(64 << 20)
     with pytest.raises(ResourceError):
         sieve._check_allocation((64 << 20) + 1)
 
 
+def test_budget_is_read_once_per_process(monkeypatch):
+    monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "1")
+    with pytest.raises(ResourceError, match="over the 1048576 byte budget$"):
+        sieve._check_allocation(2 << 20)
+    # the limit was decided at the first charge, so a new value is not read
+    monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "64")
+    with pytest.raises(ResourceError, match="over the 1048576 byte budget$"):
+        sieve._check_allocation(2 << 20)
+    sieve._limit.cache_clear()
+    sieve._check_allocation(2 << 20)
+
+
 def test_physical_memory_bounds_allocation_without_budget(monkeypatch):
+    # each change of limit clears the cache, as a new process would start
     monkeypatch.delenv("SHIU_SIEVE_BUDGET_MB", raising=False)
-    monkeypatch.setattr(sieve, "_physical_memory", lambda: 1000)
+    monkeypatch.setattr(sieve.os, "sysconf",
+                        {"SC_PHYS_PAGES": 250, "SC_PAGE_SIZE": 4}.__getitem__)
     sieve._check_allocation(1000)
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError,
+                       match="^sieve needs 1001 bytes, over the 1000 bytes of physical memory$"):
         sieve._check_allocation(1001)
     monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "1")
+    sieve._limit.cache_clear()
     sieve._check_allocation(1 << 20)  # a set budget replaces the fallback
     monkeypatch.delenv("SHIU_SIEVE_BUDGET_MB")
-    monkeypatch.setattr(sieve, "_physical_memory", lambda: None)
+    monkeypatch.setattr(sieve.os, "sysconf", lambda name: -1)  # size unknown
+    sieve._limit.cache_clear()
     sieve._check_allocation(1 << 60)
 
 
@@ -202,7 +219,8 @@ def test_physical_memory_is_unknown_without_sysconf(monkeypatch):
         raise ValueError(name)
 
     # the uncached probe, so that no None is cached for later callers
-    probe = sieve._physical_memory.__wrapped__
+    probe = sieve._limit.__wrapped__
+    monkeypatch.delenv("SHIU_SIEVE_BUDGET_MB", raising=False)
     monkeypatch.setattr(sieve.os, "sysconf", unsupported)
     assert probe() is None
     monkeypatch.delattr(sieve.os, "sysconf")
