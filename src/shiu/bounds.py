@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .construction import choose_t
 from .errors import DomainError
-from .sieve import APIndex, check_progression
+from .sieve import APIndex, _charge_primes_up_to, check_progression
 
 DEFAULT_LINNIK_EXPONENT = 5.0
 
@@ -57,8 +57,10 @@ def bound_table(
     against window_cap(k, L). With a=None every residue coprime to each q
     is measured. One progression index is shared across the k column so
     the sieve work is paid once per (q, a); each cell asks choose_t of it
-    for t and reads B = l_{t+k} - l_{t+1}, as build would. Any ShiuError
-    from a cell, a resource limit included, ends the sweep."""
+    for t and reads B = l_{t+k} - l_{t+1}, as build would. Each q is first
+    charged as build charges it, before its residues are listed, so a q
+    that construct refuses ends the sweep at once. Any ShiuError from a
+    cell, a resource limit included, ends the sweep."""
     if L <= 0:
         raise DomainError("L must be positive")
     if not L < inf:  # inf or nan, which ceil refuses
@@ -71,6 +73,7 @@ def bound_table(
         raise DomainError("q must be >= 3")
     pairs = []
     for q in qs:
+        _charge_primes_up_to(q)
         for res in (_residues(q) if a is None else [a]):
             check_progression(q, res)
             pairs.append((q, res))

@@ -42,8 +42,8 @@ from typing import NamedTuple
 
 from .errors import DomainError, InternalConsistencyError, ResourceError
 from .primality import classify_prime
-from .sieve import (APIndex, _check_allocation, _check_height, _prime_list_bytes,
-                    _segments, check_progression, primes_up_to)
+from .sieve import (APIndex, _charge_primes_up_to, _check_allocation, _segments,
+                    check_progression, primes_up_to)
 from .tuples import AdmissibilityReport, KTuple, LinearForm, is_admissible
 
 SHIFT_CAP = 10**6  # largest shift choose_t tries before a ResourceError
@@ -144,8 +144,7 @@ def build(params: ConstructionParams) -> Construction:
     exceeds q; so before anything is sieved, a q past the height ceiling is
     refused and the primes up to q are charged to the memory budget. Those
     two limits and the shift cap raise ResourceError."""
-    _check_height(params.q)
-    _check_allocation(_prime_list_bytes(params.q))
+    _charge_primes_up_to(params.q)
     idx = APIndex(params.q, params.a)
     t = choose_t(idx.nth, params.k)
     offsets = tuple(idx.nth(t + i) for i in range(1, params.k + 1))

@@ -15,10 +15,11 @@ apart by each consumer. One private generator sieves four segments at a
 time as one block, so the loop over the base primes runs once per block,
 and hands out each segment as its odd start and a fresh bytearray of
 primality flags; each consumer takes from the flags only what it needs,
-with itertools.compress and strided slices.
-numpy is imported only by _prime_arrays, which reads each segment's flags
-as a bool array and takes its nonzero positions, far faster than compress;
-the run search and iter_primes, the bulk stream, read those arrays. Heights are
+with itertools.compress and strided slices: iter_primes, the plain stream
+of Python ints, compresses each segment's flags whole. numpy is imported
+only by _prime_arrays, which reads each segment's flags as a bool array and
+takes its nonzero positions, far faster than compress; the run search reads
+those arrays above its loop cap. Heights are
 bounded by the HEIGHT_CEILING constant so that searches whose termination
 is only guaranteed asymptotically fail cleanly instead of running away, and
 each large allocation is checked against one limit, decided once per
@@ -178,10 +179,12 @@ def _prime_arrays(lo: int, hi: int):
 
 
 def iter_primes(lo: int, hi: int) -> Iterator[int]:
-    """Yield the primes in [lo, hi) in increasing order, as Python ints,
-    one segment's array at a time."""
-    for primes in _prime_arrays(lo, hi):
-        yield from primes.tolist()
+    """Yield the primes in [lo, hi) in increasing order, as Python ints: 2
+    apart, then each segment's from one compress over its flags."""
+    if lo <= 2 < hi:
+        yield 2
+    for seg_lo, flags in _segments(lo, hi):
+        yield from compress(range(seg_lo, seg_lo + 2 * len(flags), 2), flags)
 
 
 def _prime_list_bytes(y: int) -> int:
@@ -189,6 +192,14 @@ def _prime_list_bytes(y: int) -> int:
     if y < 17:
         return 512
     return int(1.3 * y / log(y)) * 40
+
+
+def _charge_primes_up_to(y: int) -> None:
+    """The two checks made before the primes up to y, or anything that
+    needs them, are listed: y past the height ceiling is refused, then
+    the list is charged to the memory limit."""
+    _check_height(y)
+    _check_allocation(_prime_list_bytes(y))
 
 
 def primes_up_to(y: int) -> list[int]:
@@ -199,8 +210,7 @@ def primes_up_to(y: int) -> list[int]:
     sieve's one byte per odd number."""
     if y < 0:
         raise DomainError("upper bound must be nonnegative")
-    _check_height(y)
-    _check_allocation(_prime_list_bytes(y))
+    _charge_primes_up_to(y)
     return [2, *_base_primes(y)] if y >= 2 else []
 
 

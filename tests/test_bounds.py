@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 from math import gcd
 
 import pytest
@@ -146,13 +147,28 @@ class TestSerialization:
                         "only 1 primes = 1 mod 3 below the ceiling 8")
 
     def test_a_sieve_budget_exits_two(self, capsys, monkeypatch):
-        # the first extension of a q = 10^10 index reaches 8*q, so the base
-        # primes of its sieve run to isqrt(8*q) = 282842; with a block of
-        # flags they are charged over 1 MiB before anything is sieved
+        # q = 10^10 is charged as build charges it, for the primes up to q,
+        # before its index sieves anything
         monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "1")
         self._exits_two(capsys, ["--q-min", "10000000000", "--q-max", "10000000000",
                                  "--a", "1", "--k-min", "2", "--k-max", "3"],
-                        "sieve needs 1575245 bytes, over the 1048576 byte budget")
+                        "sieve needs 22583313040 bytes, over the 1048576 byte budget")
+
+    @pytest.mark.parametrize("extra", [(), ("--a", "1")], ids=["every-a", "one-a"])
+    def test_a_q_near_two_to_the_37_exits_two_at_once(self, capsys, monkeypatch, extra):
+        # without the per-q charge, the one residue's index would sieve to
+        # 2^40, and listing every residue would not end either; construct
+        # refuses this q with the same line. The budget is set so that the
+        # refusal does not depend on the machine's memory.
+        monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "65536")
+        start = time.perf_counter()
+        self._exits_two(capsys, ["--q-min", "137438953447", "--q-max", "137438953447",
+                                 "--k-min", "2", "--k-max", "2", *extra],
+                        "sieve needs 278667292440 bytes, over the 68719476736 byte budget")
+        assert time.perf_counter() - start < 1
+        assert cli.main(["construct", "--q", "137438953447", "--a", "1", "--k", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: resource: sieve needs 278667292440 bytes, over the 68719476736 byte budget\n")
 
     def test_a_one_mib_budget_changes_no_row(self, capsys, monkeypatch):
         # the q = 100003 index keeps only its few members, and each sieve

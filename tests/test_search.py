@@ -1,6 +1,8 @@
 import json
 import pickle
 import statistics
+from contextlib import contextmanager
+from itertools import product
 from math import gcd, isqrt
 from types import SimpleNamespace
 
@@ -24,6 +26,17 @@ from shiu.search import (
 
 from ._oracles import all_strings_oracle, first_string_oracle, simple_sieve
 
+# all_strings has two paths, picked by its cap alone: these LOOP_CAP values
+# send every cap down the plain loop, or down the numpy arrays
+PATHS = {"loop": sieve.HEIGHT_CEILING, "arrays": 0}
+
+
+@contextmanager
+def on_path(path):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "LOOP_CAP", PATHS[path])
+        yield
+
 FIRSTS = {
     (4, 1, 2): (13, 17),
     (3, 1, 2): (31, 37),
@@ -36,9 +49,11 @@ FIRSTS = {
 
 @pytest.mark.parametrize("q,a,m", sorted(FIRSTS))
 def test_first_string_known_values(q, a, m):
-    s = first_string(q, a, m, cap=10**4)
-    assert s.primes == FIRSTS[(q, a, m)]
-    assert s.diameter == s.primes[-1] - s.primes[0]
+    for path in PATHS:
+        with on_path(path):
+            s = first_string(q, a, m, cap=10**4)
+        assert s.primes == FIRSTS[(q, a, m)]
+        assert s.diameter == s.primes[-1] - s.primes[0]
 
 
 def test_first_string_start_index():
@@ -101,17 +116,17 @@ def test_first_string_is_prefix_of_stream():
 @pytest.mark.parametrize("q", range(3, 13))
 def test_matches_linear_scan_oracle(q):
     primes = simple_sieve(10**5)
-    for a in range(1, q):
+    for path, a, m in product(PATHS, range(1, q), (2, 3)):
         if gcd(a, q) != 1:
             continue
-        for m in (2, 3):
-            want = first_string_oracle(q, a, m, 10**5, primes)
+        want = first_string_oracle(q, a, m, 10**5, primes)
+        with on_path(path):
             if want is None:
                 with pytest.raises(NotFoundError):
                     first_string(q, a, m, cap=10**5)
             else:
                 got = first_string(q, a, m, cap=10**5)
-                assert (got.start_index, got.primes) == want
+                assert (got.start_index, got.primes) == want, path
 
 
 _ORACLE_CAP = 20000
@@ -131,11 +146,36 @@ _CLASSES = [(q, a) for q in (3, 4, 5, 10) for a in range(1, q) if gcd(a, q) == 1
 def test_all_strings_matches_the_oracle_at_any_segment_width(width, cls, m, maximal, cap):
     q, a = cls
     want = all_strings_oracle(q, a, m, cap, maximal, _ORACLE_PRIMES)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sieve, "SEGMENT_WIDTH", width)
-        got = [(s.start_index, s.primes)
-               for s in all_strings(q, a, m, cap=cap, maximal_only=maximal)]
-    assert got == want
+    for path in PATHS:
+        with pytest.MonkeyPatch.context() as mp, on_path(path):
+            mp.setattr(sieve, "SEGMENT_WIDTH", width)
+            got = [(s.start_index, s.primes)
+                   for s in all_strings(q, a, m, cap=cap, maximal_only=maximal)]
+        assert got == want, path
+
+
+@st.composite
+def _width_and_cap(draw):
+    """A segment width, and a cap of 3, 4 or 5 or one off the end of a
+    segment or of a block of four; segments start at 3."""
+    width = draw(st.sampled_from((8, 64, 1 << 17)))
+    span = draw(st.sampled_from((width, 4 * width)))
+    ends = st.builds(lambda n, d: 3 + n * span + d, st.integers(1, 3), st.integers(-1, 1))
+    return width, draw(st.sampled_from((3, 4, 5)) | ends)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_width_and_cap(), st.sampled_from(_CLASSES), st.integers(2, 5), st.booleans())
+@example((8, 38), (3, 1), 2, True)  # (31, 37) is a run still open at the cap
+def test_the_loop_and_the_arrays_yield_equal_streams(width_cap, cls, m, maximal):
+    (width, cap), (q, a) = width_cap, cls
+    streams = []
+    for path in PATHS:
+        with pytest.MonkeyPatch.context() as mp, on_path(path):
+            mp.setattr(sieve, "SEGMENT_WIDTH", width)
+            streams.append(list(all_strings(q, a, m, cap=cap, maximal_only=maximal)))
+    assert streams[0] == streams[1]
+    assert all(type(s) is ShiuString for s in streams[0] + streams[1])
 
 
 def test_all_strings_stops_at_the_segment_holding_its_string(monkeypatch):
@@ -149,8 +189,11 @@ def test_all_strings_stops_at_the_segment_holding_its_string(monkeypatch):
 
     monkeypatch.setattr(sieve, "_segments", counting)
     monkeypatch.setattr(sieve, "SEGMENT_WIDTH", 64)
-    assert next(all_strings(3, 1, 3, cap=10**6)).primes == (151, 157, 163)
-    assert sieved == [3, 67, 131]
+    for path in PATHS:
+        sieved.clear()
+        with on_path(path):
+            assert next(all_strings(3, 1, 3, cap=10**6)).primes == (151, 157, 163)
+        assert sieved == [3, 67, 131], path
 
 
 def test_first_string_sieves_only_the_block_holding_its_string(monkeypatch):
@@ -167,12 +210,15 @@ def test_first_string_sieves_only_the_block_holding_its_string(monkeypatch):
 
     monkeypatch.setattr(sieve, "_segment_flags", recording)
     monkeypatch.setattr(sieve, "SEGMENT_WIDTH", 1 << 14)
-    assert first_string(3, 1, 8, cap=10**6).primes == (
-        118801, 118819, 118831, 118843, 118861, 118873, 118891, 118897)
-    # every call with the primes below the cap's root sieves the run
-    # search's range
-    assert [(lo, hi) for lo, hi, primes in calls if primes == base] == [
-        (3, 65539), (65539, 131075)]
+    for path in PATHS:
+        calls.clear()
+        with on_path(path):
+            assert first_string(3, 1, 8, cap=10**6).primes == (
+                118801, 118819, 118831, 118843, 118861, 118873, 118891, 118897)
+        # every call with the primes below the cap's root sieves the run
+        # search's range
+        assert [(lo, hi) for lo, hi, primes in calls if primes == base] == [
+            (3, 65539), (65539, 131075)], path
 
 
 def test_all_strings_drains_to_ten_million_under_a_one_mib_budget(monkeypatch):
@@ -184,12 +230,16 @@ def test_all_strings_drains_to_ten_million_under_a_one_mib_budget(monkeypatch):
 
 def test_all_strings_with_a_modulus_beyond_int64():
     # two congruent primes differ by at least q, so none lie below the cap
-    assert list(all_strings(1 << 70, 1, 2, cap=1000, maximal_only=True)) == []
+    for path in PATHS:
+        with on_path(path):
+            assert list(all_strings(1 << 70, 1, 2, cap=1000, maximal_only=True)) == []
 
 
 def test_all_strings_with_more_primes_per_string_than_below_the_cap():
     # nothing is allocated per prime of a string that cannot exist
-    assert list(all_strings(3, 1, 10**12, cap=1000)) == []
+    for path in PATHS:
+        with on_path(path):
+            assert list(all_strings(3, 1, 10**12, cap=1000)) == []
 
 
 def test_diameter_laws_on_found_strings():
@@ -251,10 +301,12 @@ def test_strings_survive_a_pickle_round_trip(maximal):
 @pytest.mark.parametrize("maximal", [False, True])
 def test_both_emission_paths_yield_shiu_strings(maximal):
     # cap 38 leaves the maximal run (31, 37) open at the cap, so with
-    # maximal_only it comes from the emission after the last segment
-    (s,) = all_strings(3, 1, 2, cap=38, maximal_only=maximal)
-    assert type(s) is ShiuString
-    assert s == ShiuString(q=3, a=1, start_index=10, primes=(31, 37), diameter=6)
+    # maximal_only it comes from the emission after the last prime
+    for path in PATHS:
+        with on_path(path):
+            (s,) = all_strings(3, 1, 2, cap=38, maximal_only=maximal)
+        assert type(s) is ShiuString
+        assert s == ShiuString(q=3, a=1, start_index=10, primes=(31, 37), diameter=6)
 
 
 def test_a_string_is_the_tuple_of_its_fields():
@@ -270,28 +322,32 @@ def test_a_string_is_the_tuple_of_its_fields():
 @pytest.mark.parametrize("width", [8, 64, 1 << 16])
 def test_all_strings_yields_what_the_validating_constructor_builds(monkeypatch, width, maximal):
     monkeypatch.setattr(sieve, "SEGMENT_WIDTH", width)
-    seen = 0
-    for q, a, m in [(3, 1, 2), (4, 7, 3), (10, 7, 2)]:
-        for s in all_strings(q, a, m, cap=5000, maximal_only=maximal):
-            assert type(s) is ShiuString
-            assert (s.q, s.a) == (q, a)
-            assert s == ShiuString(q=s.q, a=s.a, start_index=s.start_index,
-                                   primes=s.primes, diameter=s.diameter)
-            seen += 1
-    assert seen > 100
+    for path in PATHS:
+        seen = 0
+        with on_path(path):
+            for q, a, m in [(3, 1, 2), (4, 7, 3), (10, 7, 2)]:
+                for s in all_strings(q, a, m, cap=5000, maximal_only=maximal):
+                    assert type(s) is ShiuString
+                    assert (s.q, s.a) == (q, a)
+                    assert s == ShiuString(q=s.q, a=s.a, start_index=s.start_index,
+                                           primes=s.primes, diameter=s.diameter)
+                    seen += 1
+        assert seen > 100, path
 
 
 @pytest.mark.parametrize("maximal", [False, True])
 @pytest.mark.parametrize("primes", [[7, 19, 13], [7, 13, 13]])
 def test_all_strings_refuses_a_segment_out_of_order(monkeypatch, primes, maximal):
-    # every member is 1 mod 3, so without the segment check the scan would
-    # yield a string that is not strictly increasing, (19, 13) or (13, 13)
-    def shuffled(lo, hi):
-        yield np.array(primes, dtype=np.int64)
-
-    monkeypatch.setattr(search, "_prime_arrays", shuffled)
-    with pytest.raises(DomainError, match="ascending"):
-        next(all_strings(3, 1, 2, cap=100, maximal_only=maximal))
+    # every member is 1 mod 3, so without the order check the scan would
+    # yield a string that is not strictly increasing, (19, 13) or (13, 13);
+    # the loop reads the primes one at a time, the arrays a segment at a time
+    monkeypatch.setattr(search, "iter_primes", lambda lo, hi: iter(primes))
+    monkeypatch.setattr(search, "_prime_arrays",
+                        lambda lo, hi: iter([np.array(primes, dtype=np.int64)]))
+    for path in PATHS:
+        with on_path(path), pytest.raises(DomainError, match="ascending"):
+            for s in all_strings(3, 1, 2, cap=100, maximal_only=maximal):
+                assert s.primes[0] < s.primes[1], path
 
 
 class TestDiameterStats:
