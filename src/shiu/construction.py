@@ -25,9 +25,11 @@ up to k and those dividing an offset, from the primes up to max(k,
 isqrt(last offset)), and isolation on a one-byte-per-integer cover of
 the window, which sieves the window and the primes up to the square root
 of the last offset; those strike every composite, and each prime of the
-window covers its own slot. g is multiplied out only where an output
-holds it, by a product tree, and a checked certificate is written back
-from its own fields.
+window covers its own slot. That cover is the one isolation check:
+verify_isolation runs it, then labels each integer of the window with the
+least of its striking primes that divides it. g is multiplied out only
+where an output holds it, by a product tree, and a checked certificate is
+written back from its own fields.
 """
 
 from __future__ import annotations
@@ -196,19 +198,12 @@ def _strike(lo: int, slots, primes, mark=None) -> None:
             slots[i::p] = (mark or [p]) * ((size - 1 - i) // p + 1)
 
 
-def _uncovered(c: Construction, h: int) -> InternalConsistencyError:
-    return InternalConsistencyError(
-        "interior value with no blocking factor",
-        context={"q": c.params.q, "a": c.params.residue,
-                 "k": c.params.k, "t": c.t, "h": h},
-    )
-
-
-def _check_cover(c: Construction) -> None:
-    """verify_isolation's check without its pairs, on a byte per integer of
-    the window: each prime of the window covers its own slot, the primes up
-    to the square root of the last offset strike their multiples, and every
-    slot that is not an offset must be covered."""
+def _check_cover(c: Construction) -> list[int]:
+    """The isolation check, on a byte per integer of the window: each
+    prime of the window covers its own slot, the primes up to the square
+    root of the last offset strike their multiples, and every slot that is
+    not an offset must be covered. Returns those striking primes, for
+    verify_isolation to label the window with."""
     lo, stop = c.offsets[0], c.offsets[-1] + 1
     # the cover, plus a run of marks for 2 (half its length) and the copy
     # that slice assignment makes of a bytes run
@@ -216,49 +211,48 @@ def _check_cover(c: Construction) -> None:
     cover = bytearray(stop - lo)
     for seg_lo, flags in _segments(lo, stop):
         cover[seg_lo - lo:seg_lo - lo + 2 * len(flags):2] = flags
-    _strike(lo, cover, primes_up_to(isqrt(stop - 1)), b"\x01")
+    primes = primes_up_to(isqrt(stop - 1))
+    _strike(lo, cover, primes, b"\x01")
     for off in c.offsets:
         cover[off - lo] = 1
     i = cover.find(0)
     if i >= 0:
-        raise _uncovered(c, lo + i)
+        raise InternalConsistencyError(
+            "interior value with no blocking factor",
+            context={"q": c.params.q, "a": c.params.residue,
+                     "k": c.params.k, "t": c.t, "h": lo + i})
+    return primes
 
 
 def verify_isolation(c: Construction) -> list[tuple[int, int]]:
-    """For every non-offset integer h in [first offset, last offset], find the
+    """For every non-offset integer h in [first offset, last offset], the
     least g_factor dividing h, so the form value at h is composite in every
     window beyond the degenerate one.
 
-    Such a factor must exist, and it is found without the list of
-    g_factors. A composite h has its least prime factor at most isqrt(h),
-    below the first offset because the last offset is below the square of
-    the first, so that prime is a g_factor; a prime h is a g_factor itself.
-    So the primes up to the square root of the last offset, from one small
-    sieve, strike the window, and each prime of the window, from a sieve of
-    the window alone, fills its own slot. Finding no factor is therefore a
-    bug, not an input condition.
+    _check_cover decides that such a factor exists, without the list of
+    g_factors, and raises where none does: a composite h has its least
+    prime factor at most isqrt(h), below the first offset because the last
+    offset is below the square of the first, so that prime is a g_factor;
+    a prime h is a g_factor itself. Each h is then labelled with the least
+    of the cover's striking primes that divides it, and a slot that none
+    strikes keeps h: once the cover has passed, that h is a window prime.
 
     The (h, p) pairs are read off at C speed, through a keep-mask that
-    drops the offsets. The slot list and the returned pairs are charged to
-    the memory budget before either is built. reverify needs no pairs and
-    checks the same cover on one byte per integer instead.
+    drops the offsets. The labels and the returned pairs are charged to the
+    memory budget before the cover sieves anything.
     """
     lo, stop = c.offsets[0], c.offsets[-1] + 1
     size = stop - lo
     # a pointer and a keep byte per slot, then per interior h a 2-tuple, its
-    # int and a list pointer: about 96 bytes under tracemalloc
-    _check_allocation(9 * size + 96 * (size - len(c.offsets)))
-    least: list[int | None] = [None] * size
-    for seg_lo, flags in _segments(lo, stop):
-        for h in compress(range(seg_lo, seg_lo + 2 * len(flags), 2), flags):
-            least[h - lo] = h
-    _strike(lo, least, primes_up_to(isqrt(stop - 1)))
+    # int and a list pointer with over-allocation: about 104 bytes under
+    # tracemalloc
+    _check_allocation(9 * size + 104 * (size - len(c.offsets)))
+    primes = _check_cover(c)
+    least = list(range(lo, stop))
+    _strike(lo, least, primes)
     keep = bytearray([1]) * size
     for off in c.offsets:
         keep[off - lo] = 0
-        least[off - lo] = 0  # an offset needs no blocking factor
-    if None in least:
-        raise _uncovered(c, lo + least.index(None))
     return list(zip(compress(range(lo, stop), keep), compress(least, keep)))
 
 
@@ -343,7 +337,7 @@ def construction_to_json(c: Construction, *, include_g: bool = False) -> str:
     """The certificate of c, with g_decimal when include_g is set."""
     g_factors = c.g_factors
     cert = {"q": c.params.q, "a": c.params.a, "k": c.params.k, "t": c.t,
-            "offsets": list(c.offsets), "g_factors": list(g_factors), "B": c.B}
+            "offsets": c.offsets, "g_factors": g_factors, "B": c.B}
     if include_g:
         cert["g_decimal"] = _decimal(g_factors)
     return cert_to_json(cert)
@@ -353,12 +347,12 @@ def cert_to_json(cert: dict) -> str:
     """The bytes of json.dumps(cert, indent=2) + "\n" for a certificate
     dict, its fields in certificate order, written by join: json's
     indenting encoder is pure Python, and a long certificate is nearly all
-    one list of ints. Every value is an int, a list of ints, never empty,
-    or the digit string g_decimal, which needs no escaping."""
+    one list of ints. Every value is an int, a list or tuple of ints, never
+    empty, or the digit string g_decimal, which needs no escaping."""
     lines = []
     for key in filter(cert.__contains__, _CERT_KEYS):
         value = cert[key]
-        if isinstance(value, list):
+        if isinstance(value, (list, tuple)):
             value = "[\n    " + ",\n    ".join(map(str, value)) + "\n  ]"
         elif isinstance(value, str):
             value = f'"{value}"'

@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import tracemalloc
 from decimal import Decimal
 from math import gcd, prod
 from unittest.mock import patch
@@ -184,16 +185,36 @@ def test_construction_validation_catches_tampering():
 
 
 def test_verify_isolation_charges_the_pairs_it_returns(monkeypatch):
-    # (10007, 1, 3) has 320,222 interior h: 2.6 MB of slots but about 33 MB
-    # with the (h, p) pairs, so a 16 MB budget must refuse it
+    # (10007, 1, 3) has 320,222 interior h: 0.6 MB of byte cover but about
+    # 36 MB with the (h, p) pairs, so a 16 MB budget must refuse it before
+    # the cover sieves the window
     c = build(ConstructionParams(q=10007, a=1, k=3))
+    sieved = []
+    monkeypatch.setattr(construction, "_segments",
+                        lambda lo, hi: sieved.append(lo) or sieve._segments(lo, hi))
     monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "16")
     sieve._limit.cache_clear()  # a new budget is read by a new process
     with pytest.raises(ResourceError):
         verify_isolation(c)
+    assert sieved == []
     monkeypatch.setenv("SHIU_SIEVE_BUDGET_MB", "64")
     sieve._limit.cache_clear()  # a new budget is read by a new process
     assert len(verify_isolation(c)) == c.B + 1 - c.params.k
+
+
+@pytest.mark.parametrize("q,a,k", [(10007, 1, 3), (1009, 1, 4)])
+def test_verify_isolation_charges_at_least_its_peak(monkeypatch, q, a, k):
+    # what the budget is charged bounds what tracemalloc sees allocated
+    c = build(ConstructionParams(q, a, k))
+    charged = []
+    monkeypatch.setattr(construction, "_check_allocation", charged.append)
+    tracemalloc.start()
+    try:
+        verify_isolation(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(charged)
 
 
 def test_size_conditions_are_enforced():
@@ -257,6 +278,15 @@ def test_verify_isolation_tight_k2_run():
     assert c.offsets == (3, 7)
     assert c.offsets[1] == c.offsets[0] + 4
     assert len(verify_isolation(c)) == c.B - 1
+
+
+def test_verify_isolation_labels_a_hand_made_window():
+    # a composite last offset, 25, and window primes 11 ... 23 that no
+    # striking prime (2, 3, 5) divides, so each labels its own slot
+    c = Construction(params=ConstructionParams(q=3, a=1, k=2), t=0,
+                     offsets=(7, 25), B=18)
+    g_factors = [p for p in trial_primes(25) if p not in c.offsets]
+    assert verify_isolation(c) == blocking_oracle(c.offsets, g_factors)
 
 
 def _without(dropped):
@@ -334,7 +364,7 @@ def test_cover_check_fails_where_verify_isolation_does(cell, dropped):
 
 def test_verify_isolation_charges_its_interval_to_the_budget(monkeypatch):
     # the one-slot-per-h list over a million integers, and the pairs it
-    # would return, about 104 bytes per h together, are refused before any
+    # would return, about 113 bytes per h together, are refused before any
     # h is looked at; with room for them, a cover that strikes without 2
     # first fails at 2^10, every smaller even h having an odd prime factor
     c = Construction(params=ConstructionParams(q=3, a=1, k=2), t=0,
