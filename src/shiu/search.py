@@ -6,11 +6,13 @@ primes, consecutive in the full prime sequence, all congruent to a mod q.
 The scanner has two paths, picked by the cap alone, with equal output. Up
 to LOOP_CAP it runs one plain loop over the primes as Python ints, carrying
 the open run, and never imports numpy, whose import costs a fresh process
-more than the loop saves. Above it, it takes the primes one odd-only sieve
-segment at a time as a numpy array, finds the length of the matching run
-ending at each prime with a running maximum over the misses, and carries
-the run still open at the segment's end into the next one; only the
-strings it yields become Python objects.
+more than the loop saves. Above it, it reads each odd-only sieve segment's
+flags as a numpy bool array, whose nonzero positions give the segment's
+primes, finds the length of the matching run ending at each prime with a
+running maximum over the misses, and carries the run still open at the
+segment's end into the next one; only the strings it yields become Python
+objects. Both paths start at 3: 2 is never in a string, since it differs
+from the next prime, 3, by 1, which no q >= 3 divides.
 
 A ShiuString is a named tuple whose public constructor validates every
 field. Neither path calls it: each checks that the primes arrive in
@@ -30,7 +32,7 @@ from operator import attrgetter, lt
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, NotFoundError
-from .sieve import _prime_arrays, check_progression, iter_primes
+from .sieve import _segments, check_progression, iter_primes
 
 DEFAULT_HEIGHT_CAP = 10**8
 LOOP_CAP = 1 << 20  # caps up to this skip numpy (see all_strings); results never depend on it
@@ -109,8 +111,13 @@ def all_strings(
     modulus = min(q, cap)
     # the open run's last m - 1 primes, or all of it with maximal_only
     carry = np.empty(0, dtype=np.int64)
-    before = 0  # primes below the current segment
-    for segment in _prime_arrays(2, cap):
+    before = 1  # primes below the current segment, counting the 2
+    for seg_lo, flags in _segments(3, cap):
+        # each flag byte is 0 or 1, so a bool view of the flags needs no
+        # per-byte test; astype copies nothing on a 64-bit build
+        segment = np.flatnonzero(np.frombuffer(flags, dtype=np.bool_)).astype(np.int64, copy=False)
+        segment <<= 1
+        segment += seg_lo
         primes = np.concatenate((carry, segment))
         offset = before - len(carry)  # start_index of primes[0]
         before += len(segment)
@@ -169,7 +176,7 @@ def _loop_strings(q: int, a: int, m: int, cap: int, maximal_only: bool) -> Itera
     res = a % q
     run: list[int] = []  # the open run's members
     last = i = -1
-    for i, p in enumerate(iter_primes(2, cap)):
+    for i, p in enumerate(iter_primes(3, cap), 1):  # i counts the 2 below
         if p <= last:
             raise DomainError(f"the primes below {cap} are not strictly ascending")
         last = p

@@ -8,18 +8,17 @@ _segment_flags, does all the sieving: it flags the odd primes of one
 interval given the odd primes up to the square root of its end. It fills,
 once per process, a 32 KiB table of the odd numbers below TABLE_LIMIT =
 2^16; each block ending there and each list of base primes up to there is
-a slice of it, and larger base primes come from the loop run over [3,
-root]. The sieve is odd-only (Crandall and Pomerance, Prime Numbers,
-section 3.2): one flag per odd number, and the one even prime, 2, is added
-apart by each consumer. One private generator sieves four segments at a
-time as one block, so the loop over the base primes runs once per block,
-and hands out each segment as its odd start and a fresh bytearray of
-primality flags; each consumer takes from the flags only what it needs,
-with itertools.compress and strided slices: iter_primes, the plain stream
-of Python ints, compresses each segment's flags whole. numpy is imported
-only by _prime_arrays, which reads each segment's flags as a bool array and
-takes its nonzero positions, far faster than compress; the run search reads
-those arrays above its loop cap. Heights are
+a slice of it. Past the table, one private generator is the only driver:
+it sieves four segments at a time as one block, so the loop over the base
+primes runs once per block, and hands out each segment as its odd start
+and a fresh bytearray of primality flags. Every list of primes above the
+table, base primes for a larger height included, is collected from those
+segments, so no more than one block of flags is held at a time. The sieve
+is odd-only (Crandall and Pomerance, Prime Numbers, section 3.2): one flag
+per odd number, and the one even prime, 2, is added apart by each
+consumer. Each consumer takes from the flags only what it needs, with
+itertools.compress and strided slices: iter_primes, the plain stream of
+Python ints, compresses each segment's flags whole. Heights are
 bounded by the HEIGHT_CEILING constant so that searches whose termination
 is only guaranteed asymptotically fail cleanly instead of running away, and
 each large allocation is checked against one limit, decided once per
@@ -119,11 +118,12 @@ def _table() -> bytearray:
 
 def _base_primes(limit: int) -> list[int]:
     """Every odd prime <= limit: read from the table up to TABLE_LIMIT, and
-    above it from one segment over [3, limit] sieved by the odd primes up
-    to its square root."""
-    flags = (_table() if limit <= TABLE_LIMIT
-             else _segment_flags(3, limit + 1, _base_primes(isqrt(limit))))
-    return list(compress(range(3, limit + 1, 2), flags))
+    above it collected one segment at a time from _segments, so no flags
+    are held for more than one block."""
+    primes: list[int] = []
+    for seg_lo, flags in ((3, _table()),) if limit <= TABLE_LIMIT else _segments(3, limit + 1):
+        primes += compress(range(seg_lo, limit + 1, 2), flags)
+    return primes
 
 
 def _segments(lo: int, hi: int) -> Iterator[tuple[int, bytearray]]:
@@ -143,9 +143,8 @@ def _segments(lo: int, hi: int) -> Iterator[tuple[int, bytearray]]:
     step = SEGMENT_WIDTH + (SEGMENT_WIDTH & 1)  # even, so every seg_lo is odd
     block = 4 * step
     base_limit = isqrt(hi - 1)
-    # the base sieve's flags, the list of base primes it keeps and one block's flags
-    _check_allocation((base_limit >> 1) + _prime_list_bytes(base_limit)
-                      + ((min(block, hi - lo) + 1) >> 1))
+    # the list of base primes it keeps and one block's flags
+    _check_allocation(_prime_list_bytes(base_limit) + ((min(block, hi - lo) + 1) >> 1))
     base = _base_primes(base_limit) if hi > TABLE_LIMIT else []  # the table needs none
     half = step >> 1  # flags per segment
     block_lo = lo
@@ -158,24 +157,6 @@ def _segments(lo: int, hi: int) -> Iterator[tuple[int, bytearray]]:
         for i in range(0, len(flags), half):
             yield block_lo + 2 * i, flags[i:i + half]
         block_lo = block_hi
-
-
-def _prime_arrays(lo: int, hi: int):
-    """Yield the primes of [lo, hi) as ascending int64 numpy arrays, possibly
-    empty: [2] first when 2 is in range, then one array per segment. numpy
-    is imported when the first array is asked for. Each flag byte is 0 or
-    1, so the flags can be read as a bool view, whose flatnonzero skips the
-    per-byte test a uint8 view needs; astype copies nothing on a 64-bit
-    build, where flatnonzero already returns int64."""
-    import numpy as np
-
-    if lo <= 2 < hi:
-        yield np.array([2], dtype=np.int64)
-    for seg_lo, flags in _segments(lo, hi):
-        primes = np.flatnonzero(np.frombuffer(flags, dtype=np.bool_)).astype(np.int64, copy=False)
-        primes <<= 1
-        primes += seg_lo
-        yield primes
 
 
 def iter_primes(lo: int, hi: int) -> Iterator[int]:
@@ -204,10 +185,10 @@ def _charge_primes_up_to(y: int) -> None:
 
 def primes_up_to(y: int) -> list[int]:
     """All primes in [2, y], ascending, read from the table up to
-    TABLE_LIMIT and from one unsegmented sieve above it. Unlike iter_primes
-    this materializes the whole list, so the memory budget is checked
-    against an upper estimate of its size; that estimate also exceeds the
-    sieve's one byte per odd number."""
+    TABLE_LIMIT and collected from the segments above it. Unlike
+    iter_primes this materializes the whole list, so the memory budget is
+    checked against an upper estimate of its size before anything is
+    sieved; the segments then charge their own block."""
     if y < 0:
         raise DomainError("upper bound must be nonnegative")
     _charge_primes_up_to(y)

@@ -3,7 +3,7 @@ import json
 import pickle
 import tracemalloc
 from decimal import Decimal
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from unittest.mock import patch
 
 import pytest
@@ -33,6 +33,7 @@ from shiu.tuples import AdmissibilityReport, KTuple, LinearForm, is_admissible
 from ._oracles import (
     blocking_oracle,
     choose_t_oracle,
+    is_prime_trial,
     trial_primes,
     window_oracle,
 )
@@ -352,14 +353,24 @@ def _cover_outcome(c):
 @example((3, 1, 5), frozenset())
 @example((3, 1, 5), frozenset({2}))
 @example((3, 1, 5), frozenset({5}))
+@example((3, 2, 5), frozenset({2}))  # 14 = 2 * 7: 7 is a g_factor, but strikes nothing
 @example((29, 1, 12), frozenset({3}))
-def test_cover_check_fails_where_verify_isolation_does(cell, dropped):
-    # reverify's byte cover and verify_isolation's pairs, struck from the
-    # same crippled factor source, refuse the same certificates at the same h
+def test_cover_check_fails_where_the_blocking_oracle_does(cell, dropped):
+    # the cover, its factor source crippled by dropping some striking
+    # primes (those up to the root of the last offset, all below the first
+    # offset, so never window primes), stops at the first non-offset h that
+    # is not prime and that no striking prime left divides; with none
+    # dropped there is none, since a composite h has its least prime
+    # factor at most isqrt(h). A window prime p covers only its own slot,
+    # so the oracle is given the striking primes alone and skips the primes
     c = build(ConstructionParams(*cell))
+    root = isqrt(c.offsets[-1])
+    dropped = {p for p in dropped if p <= root}
+    kept = [p for p in trial_primes(root) if p not in dropped]
+    want = next((h for h, p in blocking_oracle(c.offsets, kept)
+                 if p is None and not is_prime_trial(h)), None)
     with patch.object(construction, "primes_up_to", _without(dropped)):
-        outcome = _isolation_outcome(c)
-        assert _cover_outcome(c) == (outcome if isinstance(outcome, int) else None)
+        assert _cover_outcome(c) == want
 
 
 def test_verify_isolation_charges_its_interval_to_the_budget(monkeypatch):

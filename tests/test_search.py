@@ -10,8 +10,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import numpy as np
-
 import shiu.search as search
 import shiu.sieve as sieve
 
@@ -187,7 +185,9 @@ def test_all_strings_stops_at_the_segment_holding_its_string(monkeypatch):
             sieved.append(seg_lo)
             yield seg_lo, flags
 
+    # the loop reads them through iter_primes, the arrays by name
     monkeypatch.setattr(sieve, "_segments", counting)
+    monkeypatch.setattr(search, "_segments", counting)
     monkeypatch.setattr(sieve, "SEGMENT_WIDTH", 64)
     for path in PATHS:
         sieved.clear()
@@ -340,10 +340,12 @@ def test_all_strings_yields_what_the_validating_constructor_builds(monkeypatch, 
 def test_all_strings_refuses_a_segment_out_of_order(monkeypatch, primes, maximal):
     # every member is 1 mod 3, so without the order check the scan would
     # yield a string that is not strictly increasing, (19, 13) or (13, 13);
-    # the loop reads the primes one at a time, the arrays a segment at a time
+    # the loop reads the primes one at a time, the arrays a segment at a
+    # time, and here each prime is a segment of its own, so the segments
+    # arrive out of order
     monkeypatch.setattr(search, "iter_primes", lambda lo, hi: iter(primes))
-    monkeypatch.setattr(search, "_prime_arrays",
-                        lambda lo, hi: iter([np.array(primes, dtype=np.int64)]))
+    monkeypatch.setattr(search, "_segments",
+                        lambda lo, hi: iter([(p, bytearray([1])) for p in primes]))
     for path in PATHS:
         with on_path(path), pytest.raises(DomainError, match="ascending"):
             for s in all_strings(3, 1, 2, cap=100, maximal_only=maximal):

@@ -2,7 +2,6 @@ import sys
 from itertools import compress
 from math import isqrt
 
-import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings
@@ -80,10 +79,6 @@ def test_iter_primes_at_odd_and_even_segment_widths(monkeypatch, width):
     want = trial_primes(3000)
     for lo, hi in [(0, 3001), (2, 3), (3, 4), (4, 2999), (961, 1024), (2000, 2001)]:
         assert list(iter_primes(lo, hi)) == [p for p in want if lo <= p < hi], (lo, hi)
-        # the bulk stream: int64 arrays, each ascending, together the primes
-        arrays = list(sieve._prime_arrays(lo, hi))
-        assert all(a.dtype == np.int64 and (a[1:] > a[:-1]).all() for a in arrays), (lo, hi)
-        assert [p for a in arrays for p in a.tolist()] == [p for p in want if lo <= p < hi]
 
 
 @pytest.mark.parametrize("width", [1, 2, 7, 8, 64, 1 << 17])
@@ -117,6 +112,26 @@ def test_segments_span_the_width_across_block_boundaries(monkeypatch, width):
             assert got == [p for p in want if lo <= p < hi], (lo, hi)
 
 
+@pytest.mark.parametrize("width", [8, 64])
+def test_prime_lists_past_the_table_are_sieved_one_block_at_a_time(monkeypatch, width):
+    # past the flag table every list of primes is collected from the
+    # segments: no call to the sieving loop spans more than one block of
+    # four, whether the list ends inside a block or at its end
+    sieve._table()
+    spans = []
+    real = sieve._segment_flags
+    monkeypatch.setattr(sieve, "_segment_flags",
+                        lambda lo, hi, base: spans.append(hi - lo) or real(lo, hi, base))
+    monkeypatch.setattr(sieve, "SEGMENT_WIDTH", width)
+    block = 4 * width
+    end = 3 + (sieve.TABLE_LIMIT // block + 1) * block  # the first block end past the table
+    for y in (sieve.TABLE_LIMIT - 1, sieve.TABLE_LIMIT, sieve.TABLE_LIMIT + 1, end - 1, end):
+        assert primes_up_to(y) == simple_sieve(y), y
+    if width == 64:
+        assert len(primes_up_to(10**6)) == 78498
+    assert spans and max(spans) <= block
+
+
 def test_iter_primes_empty_and_reversed_ranges():
     assert list(iter_primes(10, 10)) == []
     assert list(iter_primes(50, 20)) == []
@@ -139,15 +154,19 @@ def test_budget_blocks_large_materialization(monkeypatch):
 
 
 def test_segments_charge_the_base_sieve_they_keep(monkeypatch):
+    # above 2^32 the root passes the flag table, so the base primes are
+    # themselves collected from a stream of segments, which charges its own
+    # block after the first charge: that one covers the list of odd base
+    # primes and one block of flags, the most the stream keeps at a time
     charges = []
     monkeypatch.setattr(sieve, "_check_allocation", charges.append)
-    hi = 10**7
-    for _ in sieve._segments(2, hi):
-        break
+    hi = 1 << 36
+    next(sieve._segments(2, hi))
+    assert len(charges) == 2
     base = sieve._base_primes(isqrt(hi - 1))
-    # one flag per odd number up to the root, and the list of odd base primes
-    kept = (isqrt(hi - 1) - 1) // 2 + sys.getsizeof(base) + sum(map(sys.getsizeof, base))
-    assert charges and charges[0] >= kept
+    assert base[-1] > sieve.TABLE_LIMIT
+    block = 2 * sieve.SEGMENT_WIDTH  # four segments, a flag per odd number
+    assert charges[0] >= sys.getsizeof(base) + sum(map(sys.getsizeof, base)) + block
 
 
 def test_budget_refuses_a_base_sieve_over_it(monkeypatch):
