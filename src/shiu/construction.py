@@ -265,8 +265,8 @@ class WindowReport(NamedTuple):
     small prime dividing the coefficient; such windows are flagged
     degenerate).
     primality_proven: False when some value at or above 2^64 shares no
-    proper factor with the coefficient, so the Baillie-PSW probable-prime
-    test decided it.
+    proper factor with the coefficient: Baillie-PSW decided it, and above
+    2^64 its verdict is not proven.
     """
 
     n: int

@@ -1,13 +1,20 @@
 """Primality testing with the certainty reported to callers.
 
-Below 2^64 a fixed seven-witness Miller-Rabin set is deterministic. Above
-2^64 the test is Baillie-PSW: a strong base-2 test, a perfect-square check
-and a strong Lucas test with Selfridge's parameters (Baillie and Wagstaff,
-Math. Comp. 35, 1980). No composite is known to pass it, but none is proven
-impossible, so verdicts in that range are reported as unproven. Fixed prime
-bases are not enough there: psi_12 = 318665857834031151167461 is a strong
-pseudoprime to every prime base up to 37 (Sorenson and Webster, Math. Comp.
-86, 2017).
+Every n >= 1000 with no prime factor below 1000 gets one test, Baillie-PSW:
+a strong base-2 test, a perfect-square check and a strong Lucas test with
+Selfridge's parameters (Baillie and Wagstaff, Math. Comp. 35, 1980).
+
+Below 2^64 its verdict is exact, so it is reported as proven. A composite
+that passes the strong base-2 test is a base-2 pseudoprime, so below 2^64
+it is on Feitsma's list of every such number. The deterministic
+Miller-Rabin witness sets for n < 2^64 were validated against that list,
+and Gilchrist checked that no number on it passes the strong Lucas test
+(Baillie, Fiori and Wagstaff, Math. Comp. 90, 2021).
+
+Above 2^64 no composite is known to pass, but none is proven impossible,
+so verdicts in that range are reported as unproven. Fixed prime bases are
+not enough there: psi_12 = 318665857834031151167461 is a strong pseudoprime
+to every prime base up to 37 (Sorenson and Webster, Math. Comp. 86, 2017).
 """
 
 from __future__ import annotations
@@ -16,9 +23,6 @@ from math import gcd, isqrt, prod
 
 from .sieve import _base_primes
 
-# Deterministic for all n < 2^64 (witness set from miller-rabin.appspot.com).
-_U64_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
-
 DETERMINISTIC_LIMIT = 1 << 64
 
 # Every prime below 1000, and their product for a one-gcd trial division.
@@ -26,17 +30,14 @@ _SMALL_PRIMES = frozenset([2, *_base_primes(999)])
 _SMALL_PRODUCT = prod(_SMALL_PRIMES)
 
 
-def _strong_probable_prime(n: int, a: int) -> bool:
-    """One strong probable-prime round; n odd, n > 2."""
-    a %= n
-    if a == 0:
-        return True
+def _strong_probable_prime(n: int) -> bool:
+    """One strong probable-prime round to base 2; n odd, n > 2."""
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    x = pow(a, d, n)
+    x = pow(2, d, n)
     if x == 1 or x == n - 1:
         return True
     for _ in range(s - 1):
@@ -98,14 +99,12 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
 def classify_prime(n: int) -> tuple[bool, bool]:
     """Return (is_prime, proven): proven is True iff n < 2^64, where the
-    verdict is deterministic; above that Baillie-PSW decides."""
+    Baillie-PSW verdict is exact; above that it is a probable-prime one."""
     if n < 1000:
         return n in _SMALL_PRIMES, True
     proven = n < DETERMINISTIC_LIMIT
     if gcd(n, _SMALL_PRODUCT) > 1:
         return False, proven
-    if proven:
-        return all(_strong_probable_prime(n, a) for a in _U64_WITNESSES), True
-    return (_strong_probable_prime(n, 2)
+    return (_strong_probable_prime(n)
             and isqrt(n) ** 2 != n
-            and _strong_lucas_probable_prime(n)), False
+            and _strong_lucas_probable_prime(n)), proven

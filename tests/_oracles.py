@@ -33,6 +33,22 @@ def simple_sieve(limit: int) -> list[int]:
     return [n for n in range(limit + 1) if flags[n]]
 
 
+def strong_probable_prime(n: int, a: int) -> bool:
+    """Textbook strong probable-prime test of odd n > 2 to base a: write
+    n - 1 = 2^s * d with d odd; n passes if a^d = 1 or a^(2^r * d) = -1
+    (mod n) for some r < s."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = pow(x, 2, n)
+        if x == n - 1:
+            return True
+    return False
+
 def coverage_oracle(pairs, p: int) -> set[int]:
     """Residues n mod p where the product of the forms vanishes, found by
     trying every n."""

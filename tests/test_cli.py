@@ -81,9 +81,12 @@ def test_repeat_runs_are_byte_identical(capsys):
 # sha256 of stdout at a reference commit: the bytes of these outputs are
 # part of the contract, so any change to them has to be deliberate. {cert}
 # and {cert_g} stand for the (3,1,5) certificate without and with g_decimal;
-# the window n = 1643273200630 lies above 2^64. The searches to 3000000 span
-# more than twenty default-width segments, so runs carried across segment
-# boundaries are pinned too. The (10007,1,3) certificate's last offset,
+# the window n = 1643273200630 lies above 2^64, and the range from
+# 1643273200620 crosses it: windows ...620 to ...628 lie below 2^64, with
+# proven primes at offsets 7, 19, 31 and 37, window ...629 straddles 2^64
+# and ...630 lies above it, so exactly two lines read probable-prime. The
+# searches to 3000000 span more than twenty default-width segments, so runs
+# carried across segment boundaries are pinned too. The (10007,1,3) certificate's last offset,
 # 560393, lies past the first four-segment sieve block, so the progression
 # index finds its offsets across blocks.
 PINNED_OUTPUTS = {
@@ -125,6 +128,8 @@ PINNED_OUTPUTS = {
         "d0a11f6f5a4d59a6e8a9eed991575644a31c4e7e0c8c9194ebb4b577c714ea18",
     "scan --cert {cert} --n-lo 1643273200630 --n-hi 1643273200630 --format text":
         "cacf28b13eaa2e24e1810c9efd2b8a167122b35d0b1f4780b5131e46a055e887",
+    "scan --cert {cert} --n-lo 1643273200620 --n-hi 1643273200630 --format text":
+        "951cd416491beb5d88c5dcd89933ac2afaae812620ee9be3aff5859c68308958",
     "verify --cert {cert_g} --format json":
         "8cf63c712eb30c258b25a8ff522157e806856e2e56c65310baeb43b87d0f4ae8",
 }

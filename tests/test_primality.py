@@ -8,11 +8,10 @@ from sympy import isprime, nextprime
 from shiu.primality import (
     DETERMINISTIC_LIMIT,
     _strong_lucas_probable_prime,
-    _strong_probable_prime,
     classify_prime,
 )
 
-from ._oracles import is_prime_trial
+from ._oracles import is_prime_trial, simple_sieve, strong_probable_prime
 
 U64 = 1 << 64
 
@@ -29,10 +28,15 @@ CHERNICK_M = (195, 206, 216, 250180, 250631, 250890)
 # Selfridge's parameters (OEIS A217255).
 STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199)
 
+# The least strong pseudoprime to all of the first j prime bases, for each j
+# whose value lies below 2^64 (OEIS A014233).
+A014233 = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 3825123056546413051)
+
 
 @pytest.mark.parametrize("n", [PSI12, PSI13])
 def test_sorenson_webster_numbers_are_composite(n):
-    assert all(_strong_probable_prime(n, a)
+    assert all(strong_probable_prime(n, a)
                for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
     assert classify_prime(n) == (False, False)
 
@@ -48,8 +52,22 @@ def test_chernick_carmichael_numbers_are_composite(m):
 
 @pytest.mark.parametrize("n", [2047, 3215031751])
 def test_base_2_strong_pseudoprimes_are_composite(n):
-    assert _strong_probable_prime(n, 2)
+    assert strong_probable_prime(n, 2)
     assert classify_prime(n) == (False, True)
+
+
+def test_lucas_half_rejects_base_2_strong_pseudoprimes_below_2_64():
+    # each passes the strong base-2 round, so below 2^64 only the gcd with
+    # the primes below 1000 or the strong Lucas test can find it composite;
+    # five of the A014233 values have no prime factor below 1000
+    primes = set(simple_sieve(10**6))
+    below_10_6 = [n for n in range(3, 10**6, 2)
+                  if n not in primes and strong_probable_prime(n, 2)]
+    assert len(below_10_6) == 46
+    assert below_10_6[:3] == [2047, 3277, 4033]
+    for n in below_10_6 + list(A014233):
+        assert strong_probable_prime(n, 2)
+        assert classify_prime(n) == (False, True), n
 
 
 @pytest.mark.parametrize("n", [5459, 5777, 10877])
@@ -89,8 +107,9 @@ def test_prime_squares_are_composite(p):
 
 
 def test_small_values_are_exact():
-    small = [n for n in range(-5, 3000) if classify_prime(n)[0]]
-    assert small == [n for n in range(3000) if is_prime_trial(n)]
+    # every n from 1000 up with no prime factor below 1000 meets Baillie-PSW
+    small = [n for n in range(-5, 2 * 10**5) if classify_prime(n)[0]]
+    assert small == simple_sieve(2 * 10**5 - 1)
 
 
 def test_proven_exactly_below_2_64():
